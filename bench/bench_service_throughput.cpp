@@ -27,7 +27,11 @@
 // Prometheus text, or the jsweep-metrics-v1 JSON document when the path
 // ends in .json (what CI validates and archives).
 //
-// CI gates plan reuse at >= 2x rebuild-per-solve throughput.
+// Every sample records `task_data_after_build`: SweepTaskData instances
+// created after the mode's first plan build. CI gates plan reuse on that
+// deterministic count — zero for the sessions and service modes — and
+// keeps the throughput ratio vs rebuild-per-solve as a >= 1.5x tripwire
+// (the ratio shrinks whenever building a plan gets cheaper).
 
 #include <algorithm>
 #include <cstdio>
@@ -87,15 +91,33 @@ struct Fixture {
 // kIterationsPerRequest sweeps — all three modes do identical work.
 const sn::SourceIterationOptions kOptions{0.0, kIterationsPerRequest, false};
 
+/// One timed mode: wall time plus the SweepTaskData instances created
+/// after its first plan build (0 = the plan was reused, never rebuilt).
+struct ModeRun {
+  double seconds = 0.0;
+  std::int64_t task_data_after_build = 0;
+};
+
+/// Counts SweepTaskData creations from mark() on.
+struct TaskDataCounter {
+  std::int64_t start = 0;
+  void mark() { start = sweep::SweepTaskData::total_created(); }
+  [[nodiscard]] std::int64_t since() const {
+    return sweep::SweepTaskData::total_created() - start;
+  }
+};
+
 /// The pre-plan lifecycle: full task-system build per request.
-double run_rebuild(const Fixture& fx) {
+ModeRun run_rebuild(const Fixture& fx) {
   WallTimer timer;
+  TaskDataCounter built;
   comm::Cluster::run(1, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(fx.patches.num_patches(), 1);
     for (int k = 0; k < kRequests; ++k) {
       const auto plan = sweep::SweepPlan::build(ctx, fx.m, fx.patches,
                                                 owner, fx.disc, fx.quad);
+      if (k == 0) built.mark();
       sweep::SolveConfig sc;
       sc.num_workers = kWorkers;
       sweep::SweepSession session(ctx, plan, sc);
@@ -104,17 +126,19 @@ double run_rebuild(const Fixture& fx) {
           kOptions);
     }
   });
-  return timer.seconds();
+  return {timer.seconds(), built.since()};
 }
 
 /// Plan reuse: one build, a lightweight session per request.
-double run_sessions(const Fixture& fx) {
+ModeRun run_sessions(const Fixture& fx) {
   WallTimer timer;
+  TaskDataCounter built;
   comm::Cluster::run(1, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(fx.patches.num_patches(), 1);
     const auto plan = sweep::SweepPlan::build(ctx, fx.m, fx.patches, owner,
                                               fx.disc, fx.quad);
+    built.mark();
     for (int k = 0; k < kRequests; ++k) {
       sweep::SolveConfig sc;
       sc.num_workers = kWorkers;
@@ -124,20 +148,22 @@ double run_sessions(const Fixture& fx) {
           kOptions);
     }
   });
-  return timer.seconds();
+  return {timer.seconds(), built.since()};
 }
 
 /// Plan reuse + request batching over one shared engine. `registry`, when
 /// non-null, turns on live metrics for the whole stack (the metrics-on
 /// mode of the overhead gate).
-double run_service(const Fixture& fx, sweep::ServiceStats* stats,
-                   metrics::Registry* registry = nullptr) {
+ModeRun run_service(const Fixture& fx, sweep::ServiceStats* stats,
+                    metrics::Registry* registry = nullptr) {
   WallTimer timer;
+  TaskDataCounter built;
   comm::Cluster::run(1, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(fx.patches.num_patches(), 1);
     const auto plan = sweep::SweepPlan::build(ctx, fx.m, fx.patches, owner,
                                               fx.disc, fx.quad);
+    built.mark();
     sweep::ServiceConfig sc;
     sc.num_workers = kWorkers;
     sc.max_batch = 4;
@@ -153,7 +179,7 @@ double run_service(const Fixture& fx, sweep::ServiceStats* stats,
     (void)service.drain();
     if (stats != nullptr) *stats = service.stats();
   });
-  return timer.seconds();
+  return {timer.seconds(), built.since()};
 }
 
 }  // namespace
@@ -176,8 +202,10 @@ int main(int argc, char** argv) {
   // Warm once (thread pools, allocator arenas) so mode order doesn't bias.
   (void)run_sessions(fx);
 
-  const double t_rebuild = run_rebuild(fx);
-  const double t_sessions = run_sessions(fx);
+  const ModeRun rebuild = run_rebuild(fx);
+  const ModeRun sessions = run_sessions(fx);
+  const double t_rebuild = rebuild.seconds;
+  const double t_sessions = sessions.seconds;
 
   // Service mode twice — metrics off and on — as interleaved back-to-back
   // pairs whose within-pair order alternates. The <= 2% overhead gate uses
@@ -190,10 +218,11 @@ int main(int argc, char** argv) {
   sweep::ServiceStats service_stats;
   double t_service = 0.0;
   double t_service_metrics = 0.0;
+  std::int64_t service_rebuilt = 0;  // max over every service run
   std::vector<double> pair_ratios;
   for (int rep = 0; rep < 9; ++rep) {
-    double off;
-    double on;
+    ModeRun off;
+    ModeRun on;
     if (rep % 2 == 0) {
       off = run_service(fx, rep == 0 ? &service_stats : nullptr);
       on = run_service(fx, nullptr, &registry);
@@ -201,9 +230,12 @@ int main(int argc, char** argv) {
       on = run_service(fx, nullptr, &registry);
       off = run_service(fx, nullptr);
     }
-    t_service = rep == 0 ? off : std::min(t_service, off);
-    t_service_metrics = rep == 0 ? on : std::min(t_service_metrics, on);
-    pair_ratios.push_back(off / on);
+    t_service = rep == 0 ? off.seconds : std::min(t_service, off.seconds);
+    t_service_metrics =
+        rep == 0 ? on.seconds : std::min(t_service_metrics, on.seconds);
+    service_rebuilt = std::max({service_rebuilt, off.task_data_after_build,
+                                on.task_data_after_build});
+    pair_ratios.push_back(off.seconds / on.seconds);
   }
   std::sort(pair_ratios.begin(), pair_ratios.end());
   const double metrics_ratio = pair_ratios[pair_ratios.size() / 2];
@@ -227,6 +259,12 @@ int main(int argc, char** argv) {
   std::printf("metrics-on/off throughput ratio: %.3f (gate: >= 0.98)\n",
               metrics_ratio);
   std::printf(
+      "task data created after the first plan build: rebuild %lld, "
+      "sessions %lld, service %lld (gate: 0 on the reuse paths)\n",
+      static_cast<long long>(rebuild.task_data_after_build),
+      static_cast<long long>(sessions.task_data_after_build),
+      static_cast<long long>(service_rebuilt));
+  std::printf(
       "service: %lld requests in %lld batch(es), %lld engine runs for %lld "
       "sweeps\n",
       static_cast<long long>(service_stats.requests),
@@ -234,8 +272,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(service_stats.engine_runs),
       static_cast<long long>(service_stats.sweeps));
 
-  const auto record = [&](const char* name, double seconds,
-                          double speedup) {
+  const auto record = [&](const char* name, double seconds, double speedup,
+                          std::int64_t task_data_after_build) {
     bench::Sample s;
     s.name = std::string("service_throughput/") + name;
     s.wall_seconds = seconds;
@@ -245,11 +283,15 @@ int main(int argc, char** argv) {
     s.params.emplace_back("iterations_per_request", kIterationsPerRequest);
     s.params.emplace_back("solves_per_sec", rate(seconds));
     s.params.emplace_back("speedup_vs_rebuild", speedup);
+    s.params.emplace_back("task_data_after_build",
+                          static_cast<double>(task_data_after_build));
     report.record(std::move(s));
   };
-  record("rebuild_per_solve", t_rebuild, 1.0);
-  record("plan_reuse_sessions", t_sessions, t_rebuild / t_sessions);
-  record("plan_reuse_service", t_service, t_rebuild / t_service);
+  record("rebuild_per_solve", t_rebuild, 1.0, rebuild.task_data_after_build);
+  record("plan_reuse_sessions", t_sessions, t_rebuild / t_sessions,
+         sessions.task_data_after_build);
+  record("plan_reuse_service", t_service, t_rebuild / t_service,
+         service_rebuilt);
 
   // The metrics-on sample carries the gate ratio plus the full registry
   // snapshot (bench::append_metrics), so BENCH_service_throughput.json
@@ -265,6 +307,8 @@ int main(int argc, char** argv) {
     s.params.emplace_back("solves_per_sec", rate(t_service_metrics));
     s.params.emplace_back("speedup_vs_rebuild", t_rebuild / t_service_metrics);
     s.params.emplace_back("throughput_vs_metrics_off", metrics_ratio);
+    s.params.emplace_back("task_data_after_build",
+                          static_cast<double>(service_rebuilt));
     bench::append_metrics(s, registry);
     report.record(std::move(s));
   }

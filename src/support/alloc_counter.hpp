@@ -42,4 +42,18 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms too: the standard library frees their blocks (e.g.
+// std::stable_sort's temporary buffer) through the sized delete above,
+// so leaving them to the runtime pairs a foreign new with our free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  jsweep::support::detail::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop

@@ -108,14 +108,16 @@ CoarsenedSweepData::CoarsenedSweepData(const SweepTaskData& fine,
 
 CoarsenedSweepProgram::CoarsenedSweepProgram(const CoarsenedSweepData& data,
                                              const SweepShared& shared,
-                                             GroupId group)
+                                             AngleId angle, GroupId group)
     : core::PatchProgram(data.fine().patch(),
-                         sweep_task_tag(data.fine().angle(), group,
+                         sweep_task_tag(angle, group,
                                         shared.quad->num_angles())),
       data_(data),
       shared_(shared),
+      angle_(angle),
       group_(group),
       fine_vertices_(data.fine().num_vertices()) {
+  JSWEEP_CHECK(angle_.valid() && angle_.value() < shared_.quad->num_angles());
   JSWEEP_CHECK_MSG(group_.value() == 0 || shared_.pipeline != nullptr,
                    "group > 0 programs need a GroupPipeline");
   if (shared_.pipeline != nullptr) {
@@ -189,8 +191,7 @@ void CoarsenedSweepProgram::compute() {
   const std::int32_t c = ready_.top();
   ready_.pop();
 
-  const sn::Ordinate& ang =
-      shared_.quad->angle(data_.fine().angle().value());
+  const sn::Ordinate& ang = shared_.quad->angle(angle_.value());
   const sn::Discretization* disc = shared_.disc;
   const std::vector<double>* q_ptr = shared_.q_per_ster;
   const double* sigma_t_lanes = nullptr;

@@ -2,9 +2,10 @@
 
 /// \file coarsened_program.hpp
 /// Coarsened-graph sweep replay (Sec. V-E). After one recorded DAG sweep,
-/// each (patch, angle) program's compute() batches become the clusters of a
-/// coarsened graph CG; later iterations run one cluster per task execution,
-/// skipping per-vertex scheduling and per-fine-edge counter updates.
+/// each (patch, angle, group) program's compute() batches become the
+/// clusters of a coarsened graph CG; later iterations run one cluster per
+/// task execution, skipping per-vertex scheduling and per-fine-edge counter
+/// updates.
 ///
 /// Deadlock-freedom across patches: clusters are compute() batches, streams
 /// are emitted at batch end and consumed between batches, so every coarse
@@ -72,8 +73,11 @@ class CoarsenedSweepData {
 /// multigroup pass stays bitwise-identical to the fine one.
 class CoarsenedSweepProgram final : public core::PatchProgram {
  public:
+  /// `angle` is the sweep direction of the fine program this replays
+  /// (the fine task data may be shared by a whole structure class).
   CoarsenedSweepProgram(const CoarsenedSweepData& data,
-                        const SweepShared& shared, GroupId group = GroupId{0});
+                        const SweepShared& shared, AngleId angle,
+                        GroupId group = GroupId{0});
 
   /// Reset local context (counters, ready clusters, φ, gate) for a run.
   void init() override;
@@ -109,6 +113,7 @@ class CoarsenedSweepProgram final : public core::PatchProgram {
 
   const CoarsenedSweepData& data_;
   const SweepShared& shared_;
+  AngleId angle_;  ///< sweep direction (ordinate id)
   GroupId group_;  ///< group *set* id when pipelined (see SweepProgramOptions)
   std::int64_t fine_vertices_;
   /// Lanes this program sweeps at once (pipeline set width; 1 otherwise).

@@ -1,6 +1,9 @@
 #include "sweep/plan.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
 
 #include "support/check.hpp"
 #include "support/timer.hpp"
@@ -106,6 +109,18 @@ mesh::FaceDir inflow_side(const mesh::Vec3& omega, int axis) {
       2 * axis + (omega_component(omega, axis) > 0.0 ? 0 : 1));
 }
 
+/// Structure class of ω on an orthogonal grid: its octant. Task graphs,
+/// face slots and the patch digraph see ω only through the signs of its
+/// components there, so every angle of an octant shares them. A component
+/// within the grazing tolerance drops edges its sign would predict, so
+/// such a direction gets no class (-1) and keeps its own structure.
+int octant_class(const mesh::Vec3& omega) {
+  for (int axis = 0; axis < 3; ++axis)
+    if (std::abs(omega_component(omega, axis)) <= graph::kGrazingTol)
+      return -1;
+  return sn::octant_of(omega);
+}
+
 }  // namespace
 
 std::shared_ptr<const SweepPlan> SweepPlan::build(
@@ -200,6 +215,7 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
       [&](const mesh::Vec3& omega) {
         return graph::compute_cycle_cut(m, omega);
       },
+      octant_class,
       bc.any() ? boundary_registrar
                : std::function<void(LaggedFluxStore&)>{},
       bc.any() ? boundary_builder
@@ -224,7 +240,8 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
       [&](const mesh::Vec3& omega) {
         return graph::compute_cycle_cut(m, omega);
       },
-      /*boundary_registrar=*/{}, /*boundary_builder=*/{});
+      /*structure_class=*/{}, /*boundary_registrar=*/{},
+      /*boundary_builder=*/{});
 }
 
 std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
@@ -239,6 +256,7 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
     const std::function<graph::Digraph(const mesh::Vec3&)>&
         patch_digraph_builder,
     const std::function<graph::CycleCut(const mesh::Vec3&)>& cut_builder,
+    const std::function<int(const mesh::Vec3&)>& structure_class,
     const std::function<void(LaggedFluxStore&)>& boundary_registrar,
     const std::function<BoundaryCoupling(PatchId, AngleId,
                                          const LaggedFluxStore&)>&
@@ -284,6 +302,19 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
   // slots, which the per-angle loop below would not have reached yet.
   if (boundary_registrar) boundary_registrar(plan->lagged_template_);
 
+  // Structure sharing: the patch priorities and the task data of one local
+  // patch depend on ω only through its structure class (the octant on an
+  // orthogonal grid), so each is built once per (local patch, class) and
+  // every angle of the class reuses it. Directions without a class (tet
+  // meshes, grazing components), cut directions and boundary-coupled tasks
+  // — whose lagged store slots are per angle — keep per-angle structure.
+  constexpr std::size_t kUnbuilt = std::numeric_limits<std::size_t>::max();
+  struct ClassStructure {
+    std::vector<double> pprio;  ///< empty until the class's first angle
+    std::vector<std::size_t> data_index;  ///< by local-patch position
+  };
+  std::array<ClassStructure, 8> classes;
+
   // Outer loop over angles so all programs of one angle share its
   // patch-priority vector; programs are stored angle-major, a fixed order
   // reused by the deterministic φ collection.
@@ -312,22 +343,35 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
       std::sort(faces.begin(), faces.end());
       for (const auto face : faces) plan->lagged_template_.add_slot(a, face);
     }
-    const graph::Digraph patch_graph = patch_digraph_builder(omega);
-    const std::vector<double> pprio =
-        graph::patch_priorities(config.patch_priority, patch_graph);
+    const int cls =
+        cut.empty() && structure_class ? structure_class(omega) : -1;
+    ClassStructure own;
+    ClassStructure& structure =
+        cls >= 0 ? classes[static_cast<std::size_t>(cls)] : own;
+    if (structure.pprio.empty()) {
+      structure.pprio = graph::patch_priorities(config.patch_priority,
+                                                patch_digraph_builder(omega));
+      structure.data_index.assign(plan->local_patches_.size(), kUnbuilt);
+    }
     // The structural task data is group-independent (same DAG, same face
-    // slots): built once per (patch, angle), shared by all group programs.
-    for (const auto p : plan->local_patches_) {
+    // slots): shared by all group programs of every angle in the class.
+    for (std::size_t i = 0; i < plan->local_patches_.size(); ++i) {
+      const PatchId p = plan->local_patches_[i];
       BoundaryCoupling coupling;
       if (boundary_builder)
         coupling = boundary_builder(p, AngleId{a}, plan->lagged_template_);
-      plan->task_data_.push_back(std::make_unique<SweepTaskData>(
-          task_builder(p, omega, AngleId{a}, cut.empty() ? nullptr : &cut),
-          config.vertex_priority, disc, ps, quad.angle(a),
-          plan->lagged_template_.empty() ? nullptr
-                                         : &plan->lagged_template_,
-          coupling.empty() ? nullptr : &coupling));
-      const std::size_t data_index = plan->task_data_.size() - 1;
+      std::size_t data_index =
+          coupling.empty() ? structure.data_index[i] : kUnbuilt;
+      if (data_index == kUnbuilt) {
+        plan->task_data_.push_back(std::make_unique<SweepTaskData>(
+            task_builder(p, omega, AngleId{a}, cut.empty() ? nullptr : &cut),
+            config.vertex_priority, disc, ps, quad.angle(a),
+            plan->lagged_template_.empty() ? nullptr
+                                           : &plan->lagged_template_,
+            coupling.empty() ? nullptr : &coupling));
+        data_index = plan->task_data_.size() - 1;
+        if (coupling.empty()) structure.data_index[i] = data_index;
+      }
       for (int g = 0; g < plan->groups_built_; ++g) {
         // Task priority: earlier groups strictly dominate (they unblock
         // downstream groups' sources), then earlier (lower-id) angles so
@@ -336,9 +380,10 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
         const double task_prior =
             -static_cast<double>(g * quad.num_angles() + a);
         plan->programs_.push_back(PlanProgram{
-            data_index, GroupId{g},
+            data_index, AngleId{a}, GroupId{g},
             graph::combined_priority(
-                task_prior, pprio[static_cast<std::size_t>(p.value())])});
+                task_prior,
+                structure.pprio[static_cast<std::size_t>(p.value())])});
       }
     }
   }

@@ -5,8 +5,9 @@
 ///
 /// A **SweepPlan** is everything about a sweep that depends only on
 /// (mesh, partition, quadrature, plan knobs) and on nothing a solve
-/// request brings along: the per-(patch, angle) dependency graphs with
-/// their interned dense face-flux slots (SweepTaskData), the SCC cycle
+/// request brings along: the dependency graphs with their interned dense
+/// face-flux slots (SweepTaskData) — one per (patch, octant) on structured
+/// meshes; (patch, angle) on tet meshes and lagged tasks —, the SCC cycle
 /// cuts and the lagged-slot layout, the per-group kernels, and the
 /// two-level LDCP scheduling priorities. Build it once with
 /// SweepPlan::build(); it is deeply const afterwards and safely shareable
@@ -106,10 +107,12 @@ struct PlanConfig {
 };
 
 /// One engine-registrable program of the plan: index of its (shared,
-/// group-independent) SweepTaskData, its group set, and its static
-/// scheduling priority.
+/// group-independent) SweepTaskData, its sweep direction, its group set,
+/// and its static scheduling priority. The task data may be shared by
+/// every angle of a structure class, so the program's angle lives here.
 struct PlanProgram {
   std::size_t data_index = 0;  ///< into SweepPlan task data
+  AngleId angle{0};            ///< sweep direction (ordinate id)
   /// Group *set* this program sweeps for group-pipelined plans (set s =
   /// groups [s*W, min((s+1)*W, G))); always GroupId{0} otherwise.
   GroupId group{0};
@@ -192,7 +195,8 @@ class SweepPlan {
   [[nodiscard]] const std::vector<PlanProgram>& programs() const {
     return programs_;
   }
-  /// Structural task data of program slot `data_index`.
+  /// Structural task data of program slot `data_index` (shared by every
+  /// program of the same patch and structure class).
   [[nodiscard]] const SweepTaskData& task_data(std::size_t i) const {
     return *task_data_[i];
   }
@@ -228,7 +232,9 @@ class SweepPlan {
   SweepPlan() = default;
 
   // Shared build core, parameterized over the mesh type via builder
-  // lambdas (same shape the old SweepSolver used).
+  // lambdas (same shape the old SweepSolver used). `structure_class` maps
+  // a direction to the class whose angles share task data and patch
+  // priorities (0..7; -1 = per-angle); empty = every angle is its own.
   static std::shared_ptr<const SweepPlan> build_impl(
       comm::Context& ctx, std::int64_t mesh_cells,
       const partition::PatchSet& ps, std::vector<RankId> patch_owner,
@@ -242,6 +248,7 @@ class SweepPlan {
       const std::function<graph::Digraph(const mesh::Vec3&)>&
           patch_digraph_builder,
       const std::function<graph::CycleCut(const mesh::Vec3&)>& cut_builder,
+      const std::function<int(const mesh::Vec3&)>& structure_class,
       const std::function<void(LaggedFluxStore&)>& boundary_registrar,
       const std::function<BoundaryCoupling(PatchId, AngleId,
                                            const LaggedFluxStore&)>&

@@ -160,6 +160,7 @@ void SweepSession::install_programs(bool record_clusters) {
     SweepProgramOptions opts;
     opts.cluster_grain = plan_->config().cluster_grain;
     opts.record_clusters = record_clusters;
+    opts.angle = slot.angle;
     opts.group = slot.group;
     opts.lane_tag_offset = lane_offset;
     if (!plan_->config().patch_angle_parallelism)
@@ -169,7 +170,7 @@ void SweepSession::install_programs(bool record_clusters) {
     programs_.push_back(prog.get());
     keys_.push_back(prog->key());
     if (pipeline_ != nullptr)
-      pipeline_->register_program(data.patch(), data.angle(), slot.group,
+      pipeline_->register_program(data.patch(), slot.angle, slot.group,
                                   &prog->phi_local());
     // Groups > 0 wait for their activation stream (gate); everything else
     // is runnable from the start.
@@ -195,8 +196,8 @@ void SweepSession::activate_coarsened() {
   coarse_programs_.clear();
   const auto& slots = plan_->programs();
   for (std::size_t i = 0; i < programs_.size(); ++i) {
-    // Each program (not each task data: group programs of one (patch,
-    // angle) record their own executions) yields one coarsened replay.
+    // Each program (not each task data: the (angle, group) programs sharing
+    // one record their own executions) yields one coarsened replay.
     coarse_data_.push_back(std::make_unique<CoarsenedSweepData>(
         plan_->task_data(slots[i].data_index),
         programs_[i]->recorded_clusters(),
@@ -214,12 +215,12 @@ void SweepSession::activate_coarsened() {
   if (pipeline_ != nullptr) pipeline_->clear_programs();
   for (std::size_t i = 0; i < coarse_data_.size(); ++i) {
     auto prog = std::make_unique<CoarsenedSweepProgram>(
-        *coarse_data_[i], shared_, slots[i].group);
+        *coarse_data_[i], shared_, slots[i].angle, slots[i].group);
     coarse_programs_.push_back(prog.get());
     if (pipeline_ != nullptr)
       pipeline_->register_program(coarse_data_[i]->fine().patch(),
-                                  coarse_data_[i]->fine().angle(),
-                                  slots[i].group, &prog->phi_local());
+                                  slots[i].angle, slots[i].group,
+                                  &prog->phi_local());
     coarse_engine->add_program(std::move(prog), slots[i].priority,
                                /*initially_active=*/slots[i].group ==
                                    GroupId{0});

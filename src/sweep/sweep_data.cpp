@@ -166,18 +166,20 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
       lagged_seed_.push_back(
           LaggedSlot{resolve(r.face), r.store_slot, r.scale});
 
-  lag_off_.assign(n + 1, 0);
-  for (const auto& e : graph_.lagged_local)
-    ++lag_off_[static_cast<std::size_t>(e.u) + 1];
-  for (const auto& e : graph_.lagged_out)
-    ++lag_off_[static_cast<std::size_t>(e.u) + 1];
-  if (has_boundary)
-    for (const auto& w : boundary->writes)
-      ++lag_off_[static_cast<std::size_t>(w.v) + 1];
-  for (std::size_t i = 1; i < lag_off_.size(); ++i)
-    lag_off_[i] += lag_off_[i - 1];
-  lag_slots_.resize(static_cast<std::size_t>(lag_off_.back()));
-  {
+  // Lag-free tasks keep lag_off_ empty: stage_lagged_writes() never walks
+  // them, and the offsets would cost 8·(n+1) bytes per task.
+  if (any_lagged_) {
+    lag_off_.assign(n + 1, 0);
+    for (const auto& e : graph_.lagged_local)
+      ++lag_off_[static_cast<std::size_t>(e.u) + 1];
+    for (const auto& e : graph_.lagged_out)
+      ++lag_off_[static_cast<std::size_t>(e.u) + 1];
+    if (has_boundary)
+      for (const auto& w : boundary->writes)
+        ++lag_off_[static_cast<std::size_t>(w.v) + 1];
+    for (std::size_t i = 1; i < lag_off_.size(); ++i)
+      lag_off_[i] += lag_off_[i - 1];
+    lag_slots_.resize(static_cast<std::size_t>(lag_off_.back()));
     std::vector<std::int64_t> cursor(lag_off_.begin(), lag_off_.end() - 1);
     const auto place = [&](std::int32_t u, std::int64_t face,
                            std::int32_t store_slot) {

@@ -1,14 +1,17 @@
 #pragma once
 
 /// \file sweep_data.hpp
-/// Immutable per-(patch, angle) sweep data shared by every engine and every
-/// source iteration: the dependency graph in per-vertex CSR form (with face
-/// ids), vertex priorities, the combined (patch, angle) scheduling
-/// priority, and the *dense face-flux index* — every face this task can
+/// Immutable sweep data shared by every engine and every source iteration:
+/// the dependency graph in per-vertex CSR form (with face ids), vertex
+/// priorities, and the *dense face-flux index* — every face this task can
 /// touch (upwind in, interior, downwind out, lagged) resolved to a compact
 /// workspace slot so the kernels and the stream paths never hash at run
-/// time. Building this once and reusing it across iterations mirrors the
-/// paper's constant-mesh assumption (Sec. V-E).
+/// time. One instance serves a (patch, octant) on structured meshes, where
+/// all of this depends on Ω only through the signs of its components; and
+/// a (patch, angle) on tet meshes and lagged tasks, whose store slots are
+/// per angle. The sweep direction is therefore not part of the data: the
+/// programs carry it. Building this once and reusing it across iterations
+/// mirrors the paper's constant-mesh assumption (Sec. V-E).
 
 #include <memory>
 #include <utility>
@@ -112,10 +115,10 @@ struct BoundaryCoupling {
   [[nodiscard]] bool empty() const { return reads.empty() && writes.empty(); }
 };
 
-/// Immutable per-(patch, angle) sweep structure (see \ref sweep_data.hpp):
-/// the dependency graph in CSR form plus the dense face-flux index. Shared
-/// read-only by every group's program of that (patch, angle) and by every
-/// engine — built once, reused across all iterations.
+/// Immutable per-(patch, structure class) sweep structure (see \ref
+/// sweep_data.hpp): the dependency graph in CSR form plus the dense
+/// face-flux index. Shared read-only by every (angle, group) program of the
+/// class and by every engine — built once, reused across all iterations.
 class SweepTaskData {
  public:
   /// `disc`, `ps` and `lagged` must outlive the task data; `lagged` may be
@@ -135,12 +138,11 @@ class SweepTaskData {
   SweepTaskData(graph::PatchTaskGraph g,
                 graph::PriorityStrategy vertex_strategy);
 
-  /// The underlying per-(patch, angle) dependency graph.
+  /// The underlying dependency graph. Its `angle` is the direction it was
+  /// built for — on shared data, one representative of the class.
   [[nodiscard]] const graph::PatchTaskGraph& graph() const { return graph_; }
   /// Patch this task sweeps.
   [[nodiscard]] PatchId patch() const { return graph_.patch; }
-  /// Sweep direction (ordinate id) of this task.
-  [[nodiscard]] AngleId angle() const { return graph_.angle; }
   /// Local vertices (= cells of the patch).
   [[nodiscard]] std::int32_t num_vertices() const {
     return graph_.num_vertices;
@@ -216,7 +218,8 @@ class SweepTaskData {
   }
   /// Lagged faces *written* by vertex v (the upwind side of a cut edge):
   /// their freshly computed flux must be staged for the next sweep and the
-  /// old value restored, so downstream reads stay order-independent.
+  /// old value restored, so downstream reads stay order-independent. Only
+  /// valid when has_lagged(): lag-free tasks store no per-vertex offsets.
   template <class Fn>
   void for_lagged_writes(std::int32_t v, Fn&& fn) const {
     for (auto e = lag_off_[static_cast<std::size_t>(v)];

@@ -23,6 +23,7 @@ void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
 void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
                          GroupId group, std::int32_t v,
                          sn::FaceFluxWorkspace& flux, int width) {
+  if (!data.has_lagged()) return;
   data.for_lagged_writes(v, [&](const LaggedSlot& s) {
     for (int l = 0; l < width; ++l) {
       const std::int32_t ws = s.ws_slot * width + l;
@@ -148,7 +149,7 @@ SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
                                      SweepProgramOptions options)
     : core::PatchProgram(
           data.patch(),
-          TaskTag{sweep_task_tag(data.angle(), options.group,
+          TaskTag{sweep_task_tag(options.angle, options.group,
                                  shared.quad->num_angles())
                       .value() +
                   options.lane_tag_offset}),
@@ -156,6 +157,11 @@ SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
       shared_(shared),
       options_(options) {
   JSWEEP_CHECK(options_.cluster_grain >= 1);
+  JSWEEP_CHECK_MSG(options_.angle.valid() &&
+                       options_.angle.value() < shared_.quad->num_angles(),
+                   "SweepProgramOptions::angle = "
+                       << options_.angle << " is not an ordinate of the "
+                       << shared_.quad->num_angles() << "-angle quadrature");
   JSWEEP_CHECK(options_.group.value() >= 0);
   JSWEEP_CHECK(options_.lane_tag_offset >= 0);
   JSWEEP_CHECK_MSG(options_.group.value() == 0 || shared_.pipeline != nullptr,
@@ -248,7 +254,7 @@ void SweepPatchProgram::compute() {
   if (options_.patch_serializer != nullptr)
     serialize_lock = std::unique_lock<std::mutex>(*options_.patch_serializer);
 
-  const sn::Ordinate& ang = shared_.quad->angle(data_.angle().value());
+  const sn::Ordinate& ang = shared_.quad->angle(options_.angle.value());
   // Group-aware solves resolve kernel and source per set; single-group
   // solves use the solver-installed pair directly.
   const sn::Discretization* disc = shared_.disc;

@@ -2,12 +2,13 @@
 
 /// \file sweep_program.hpp
 /// The data-driven Sn sweep patch-program — a faithful implementation of
-/// the paper's Listing 1. One instance handles one (patch, angle) pair;
-/// its local context is the per-vertex dependency counters, the ready
-/// priority queue, the dense face-flux workspace and the per-destination
-/// out-stream buffers. compute() retires up to `cluster_grain` ready
-/// vertices per execution (vertex clustering, Sec. V-C) and can record the
-/// resulting clusters to build the coarsened graph (Sec. V-E).
+/// the paper's Listing 1. One instance handles one (patch, angle, group)
+/// task; its local context is the per-vertex dependency counters, the
+/// ready priority queue, the dense face-flux workspace and the
+/// per-destination out-stream buffers. compute() retires up to
+/// `cluster_grain` ready vertices per execution (vertex clustering,
+/// Sec. V-C) and can record the resulting clusters to build the coarsened
+/// graph (Sec. V-E).
 ///
 /// Steady-state allocation budget: zero. The face-flux workspace comes
 /// from a shared FaceFluxPool (borrowed at init(), returned when the last
@@ -139,6 +140,10 @@ void flush_set_out_streams(
 
 /// Per-program knobs (fixed at construction).
 struct SweepProgramOptions {
+  /// Sweep direction (ordinate id) of this program. Required: task data
+  /// may be shared by every angle of a structure class, so the angle is
+  /// not derivable from it (the plan's PlanProgram::angle).
+  AngleId angle;
   /// Max vertices retired per compute() execution (the paper's N).
   int cluster_grain = 64;
   /// Record compute() batches as clusters for coarsened-graph replay.

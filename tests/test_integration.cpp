@@ -132,6 +132,7 @@ TEST(RecordedCoarsening, Theorem1OnRealExecution) {
                                           quad.angle(a).dir, AngleId{a}),
             graph::PriorityStrategy::SLBD, disc, ps, quad.angle(a)));
         sweep::SweepProgramOptions opts;
+        opts.angle = AngleId{a};
         opts.cluster_grain = 8;
         opts.record_clusters = true;
         auto prog = std::make_unique<sweep::SweepPatchProgram>(

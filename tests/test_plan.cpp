@@ -8,7 +8,11 @@
 // concurrently against one shared plan match the serial result to 1e-12;
 // (d) SweepService-batched solves reproduce standalone source iteration
 // bitwise, including on cut meshes; (e) malformed plan inputs throw
-// actionable CheckErrors at build time, not mid-solve.
+// actionable CheckErrors at build time, not mid-solve; (f) structured
+// plans build task data once per (patch, octant) — per angle only on tet
+// meshes and for boundary-coupled patches — while every (patch, angle,
+// group) program survives and sessions stay bitwise equal to the serial
+// sweep.
 //
 // This binary owns the global operator new/delete replacement
 // (support/alloc_counter.hpp) — include it from exactly one TU per binary.
@@ -18,6 +22,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -56,12 +61,13 @@ struct StructuredCase {
   partition::PatchSet ps;
   std::vector<RankId> owner;
 
-  explicit StructuredCase(int n = 8)
+  explicit StructuredCase(int n = 8, int sn_order = 2,
+                          sn::BoundarySpec bc = {})
       : m(mesh::make_kobayashi_mesh(n)),
         xs(expand(sn::MaterialTable::kobayashi(), m.materials(),
                   m.num_cells())),
-        disc(m, xs),
-        quad(sn::Quadrature::level_symmetric(2)),
+        disc(m, xs, true, bc),
+        quad(sn::Quadrature::level_symmetric(sn_order)),
         layout(m.dims(), {n / 2, n / 2, n / 2}),
         ps(partition::block_partition(layout), layout.num_patches()),
         owner(partition::assign_contiguous(layout.num_patches(), 1)) {}
@@ -421,6 +427,167 @@ TEST(PlanValidation, CellXsValidateIsActionable) {
   auto non_finite = xs;
   non_finite.source[0] = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(non_finite.validate(), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// (f) Structure sharing across the angles of a class.
+// ---------------------------------------------------------------------------
+
+/// Kobayashi 8³ in 2×2×2 patches of 4³ cells, S8 (80 angles, 10 per
+/// octant), with an optional albedo spec on the kernel.
+StructuredCase s8_case(sn::BoundarySpec bc = {}) {
+  return StructuredCase(8, 8, bc);
+}
+
+/// SweepTaskData instances built by `build` (run once per rank of a
+/// `ranks`-rank cluster) — the process-wide counter's delta, so every
+/// rank's local patches are summed.
+template <class Build>
+std::int64_t task_data_built(int ranks, Build&& build) {
+  const std::int64_t before = sweep::SweepTaskData::total_created();
+  comm::Cluster::run(ranks, [&](comm::Context& ctx) { build(ctx); });
+  return sweep::SweepTaskData::total_created() - before;
+}
+
+TEST(StructureSharing, VacuumStructuredPlanBuildsOneTaskPerOctant) {
+  const auto tc = s8_case();
+  ASSERT_EQ(tc.quad.num_angles(), 80);
+  for (const int ranks : {1, 2}) {
+    const std::int64_t built = task_data_built(ranks, [&](comm::Context& ctx) {
+      const auto plan = sweep::SweepPlan::build(
+          ctx, tc.m, tc.ps,
+          partition::assign_contiguous(tc.ps.num_patches(), ctx.size()),
+          tc.disc, tc.quad);
+      EXPECT_EQ(plan->programs().size(),
+                plan->local_patches().size() * 80)
+          << "rank " << ctx.rank();
+    });
+    EXPECT_EQ(built, tc.ps.num_patches() * 8) << ranks << " rank(s)";
+  }
+}
+
+TEST(StructureSharing, TetPlanBuildsOneTaskPerAngle) {
+  const mesh::TetMesh m = mesh::make_ball_mesh(6, 3.0);
+  const partition::CsrGraph cg = partition::cell_graph(m);
+  const partition::PatchSet ps(partition::partition_graph(cg, 4), 4, &cg);
+  const sn::CellXs xs =
+      expand(sn::MaterialTable::ball(), m.materials(), m.num_cells());
+  const sn::TetStep disc(m, xs);
+  const sn::Quadrature quad = sn::Quadrature::level_symmetric(4);
+  ASSERT_EQ(quad.num_angles(), 24);
+
+  const std::int64_t built = task_data_built(1, [&](comm::Context& ctx) {
+    (void)sweep::SweepPlan::build(ctx, m, ps,
+                                  partition::assign_contiguous(4, 1), disc,
+                                  quad);
+  });
+  EXPECT_EQ(built, 4 * 24);
+}
+
+TEST(StructureSharing, AlbedoKeepsPerAngleDataOnlyOnCoupledPatches) {
+  sn::BoundarySpec bc;
+  bc.side(mesh::FaceDir::XLo) = 1.0;
+  bc.side(mesh::FaceDir::YHi) = 0.5;
+  const auto tc = s8_case(bc);
+
+  // Patches with a cell on a non-vacuum side carry boundary reads or
+  // writes for every angle; the others share the octant structure.
+  std::int64_t coupled = 0;
+  for (int p = 0; p < tc.ps.num_patches(); ++p) {
+    bool touches = false;
+    for (const CellId c : tc.ps.cells(PatchId{p}))
+      for (int side = 0; side < 6; ++side) {
+        const auto d = static_cast<mesh::FaceDir>(side);
+        if (bc.side(d) != 0.0 && !tc.m.neighbor(c, d)) touches = true;
+      }
+    if (touches) ++coupled;
+  }
+  ASSERT_GT(coupled, 0);
+  ASSERT_LT(coupled, tc.ps.num_patches());
+
+  const std::int64_t built = task_data_built(1, [&](comm::Context& ctx) {
+    (void)sweep::SweepPlan::build(
+        ctx, tc.m, tc.ps,
+        partition::assign_contiguous(tc.ps.num_patches(), 1), tc.disc,
+        tc.quad);
+  });
+  EXPECT_EQ(built, coupled * 80 + (tc.ps.num_patches() - coupled) * 8);
+
+  // The per-angle boundary slots must be the ones each angle reads and
+  // writes: sweep after sweep, the lagged albedo iterates match the
+  // serial sweeper's bitwise.
+  const auto q = test_source(tc.m.num_cells());
+  sn::StructuredSerialSweeper serial(tc.disc, tc.quad);
+  std::vector<std::vector<double>> reference;
+  for (int k = 0; k < 3; ++k) reference.push_back(serial.sweep(q));
+  for (const int ranks : {1, 2}) {
+    comm::Cluster::run(ranks, [&](comm::Context& ctx) {
+      const auto plan = sweep::SweepPlan::build(
+          ctx, tc.m, tc.ps,
+          partition::assign_contiguous(tc.ps.num_patches(), ctx.size()),
+          tc.disc, tc.quad);
+      sweep::SweepSession session(ctx, plan);
+      for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(session.sweep(q), reference[static_cast<std::size_t>(k)])
+            << ranks << " rank(s), sweep " << k;
+    });
+  }
+}
+
+TEST(StructureSharing, EveryPatchAngleGroupProgramKeepsADistinctKey) {
+  const auto tc = s8_case();
+  comm::Cluster::run(2, [&](comm::Context& ctx) {
+    const auto plan = sweep::SweepPlan::build(
+        ctx, tc.m, tc.ps,
+        partition::assign_contiguous(tc.ps.num_patches(), ctx.size()),
+        tc.disc, tc.quad);
+    const sweep::SweepSession session(ctx, plan);
+    const auto& keys = session.program_keys();
+    ASSERT_EQ(keys.size(), plan->programs().size());
+    std::set<ProgramKey> distinct(keys.begin(), keys.end());
+    EXPECT_EQ(distinct.size(), keys.size()) << "rank " << ctx.rank();
+    for (const auto p : plan->local_patches())
+      for (int a = 0; a < tc.quad.num_angles(); ++a)
+        EXPECT_EQ(distinct.count(ProgramKey{p, TaskTag{a}}), 1U)
+            << "patch " << p << " angle " << a;
+    // Shared data still sweeps the program's own patch.
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      EXPECT_EQ(plan->task_data(plan->programs()[i].data_index).patch(),
+                keys[i].patch);
+  });
+}
+
+TEST(StructureSharing, SessionsMatchSerialSweepBitwise) {
+  const auto tc = s8_case();
+  const auto q = test_source(tc.m.num_cells());
+  const auto serial = sn::serial_sweep(tc.disc, tc.quad, q);
+  struct Variant {
+    const char* name;
+    sweep::EngineKind engine;
+    bool coarsened;
+  };
+  for (const Variant v :
+       {Variant{"data-driven", sweep::EngineKind::DataDriven, false},
+        Variant{"bsp", sweep::EngineKind::Bsp, false},
+        Variant{"coarsened", sweep::EngineKind::DataDriven, true}}) {
+    for (const int ranks : {1, 2}) {
+      comm::Cluster::run(ranks, [&](comm::Context& ctx) {
+        sweep::PlanConfig pc;
+        pc.cluster_grain = 8;  // several batches per program to coarsen
+        const auto plan = sweep::SweepPlan::build(
+            ctx, tc.m, tc.ps,
+            partition::assign_contiguous(tc.ps.num_patches(), ctx.size()),
+            tc.disc, tc.quad, pc);
+        sweep::SolveConfig sc;
+        sc.engine = v.engine;
+        sc.use_coarsened_graph = v.coarsened;
+        sweep::SweepSession session(ctx, plan, sc);
+        for (int k = 0; k < 3; ++k)  // sweep 2+ replays when coarsened
+          EXPECT_EQ(session.sweep(q), serial)
+              << v.name << ", " << ranks << " rank(s), sweep " << k;
+      });
+    }
+  }
 }
 
 }  // namespace
