@@ -2,6 +2,9 @@
 // codecs, DAG construction, priorities, partitioners and SFC codes. These
 // also calibrate the simulator's per-vertex cost.
 //
+// The engine-overhead suite compares the data-driven engine's worker busy
+// time per cell-angle with the dense serial sweeper's on Kobayashi 32^3 S8.
+//
 // The kernel-grind suite runs first (always, no flags needed): it measures
 // cells/sec per angle for the hash-map reference kernels vs the dense
 // FaceFluxWorkspace hot path, counts heap allocations inside the measured
@@ -36,6 +39,7 @@
 #include "sn/discretization.hpp"
 #include "sn/face_flux.hpp"
 #include "sn/quadrature.hpp"
+#include "sn/serial_sweep.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/timer.hpp"
 #include "sweep/session.hpp"
@@ -475,6 +479,84 @@ void run_metrics_overhead_suite() {
   bench::record(std::move(s));
 }
 
+// --- Engine-overhead suite -------------------------------------------------
+//
+// The data-driven runtime's per-task cost: worker busy time per cell-angle
+// of a real solve at 1 rank x 1 worker (so no stealing, no remote streams
+// and idle near zero) against the dense serial sweeper on the same
+// Kobayashi 32^3 S8 problem. Busy time is kernel plus scheduling,
+// dependency bookkeeping, stream encode/decode and workspace traffic; the
+// ratio says how many kernel-equivalents one cell-angle costs. 1.0 would
+// be a free runtime. Not gated: a tracking number.
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+void run_engine_overhead_suite() {
+  bench::print_header(
+      "engine-overhead", "data-driven engine busy time vs serial sweeper",
+      "Kobayashi 32^3, S8, 8^3-cell patches, 1 rank x 1 worker; ns per "
+      "cell-angle, median of 5 sweeps each");
+  const mesh::StructuredMesh m = mesh::make_kobayashi_mesh(32);
+  const sn::StructuredDD disc(
+      m, expand(sn::MaterialTable::kobayashi(), m.materials(), m.num_cells()));
+  const sn::Quadrature quad = sn::Quadrature::level_symmetric(8);
+  const partition::StructuredBlockLayout layout(m.dims(), {8, 8, 8});
+  const partition::PatchSet patches(partition::block_partition(layout),
+                                    layout.num_patches());
+  const std::vector<double> q(static_cast<std::size_t>(m.num_cells()), 0.25);
+  const double units = static_cast<double>(m.num_cells()) * quad.num_angles();
+  constexpr int kReps = 5;
+
+  sn::StructuredSerialSweeper serial(disc, quad);
+  (void)serial.sweep(q);  // warm-up
+  std::vector<double> serial_ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    WallTimer timer;
+    (void)serial.sweep(q);
+    serial_ns.push_back(timer.seconds() / units * 1e9);
+  }
+
+  std::vector<double> busy_ns;
+  core::EngineStats last;
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    const auto plan = sweep::SweepPlan::build(
+        ctx, m, patches, partition::assign_contiguous(patches.num_patches(), 1),
+        disc, quad);
+    sweep::SolveConfig sc;
+    sc.num_workers = 1;
+    sweep::SweepSession session(ctx, plan, sc);
+    (void)session.sweep(q);  // warm-up: pools, worker spin-up
+    for (int rep = 0; rep < kReps; ++rep) {
+      (void)session.sweep(q);
+      last = session.stats().engine;
+      busy_ns.push_back(last.worker_busy_seconds / units * 1e9);
+    }
+  });
+
+  const double engine = median_of(busy_ns);
+  const double kernel = median_of(serial_ns);
+  const double ratio = engine / kernel;
+  std::printf("  engine busy %7.2f ns/cell-angle   serial sweeper %7.2f   "
+              "ratio %.2fx   (%lld executions, idle %.1f%%)\n",
+              engine, kernel, ratio, static_cast<long long>(last.executions),
+              100.0 * last.idle_fraction());
+
+  bench::Sample s;
+  s.name = "engine_overhead/kobayashi_32_s8";
+  s.wall_seconds = engine * units * 1e-9;
+  s.threads = 1;
+  s.problem_size = static_cast<std::int64_t>(units);
+  s.params.emplace_back("engine_busy_ns_per_cell_angle", engine);
+  s.params.emplace_back("serial_ns_per_cell_angle", kernel);
+  s.params.emplace_back("overhead_ratio", ratio);
+  s.params.emplace_back("executions", static_cast<double>(last.executions));
+  s.params.emplace_back("idle_fraction", last.idle_fraction());
+  bench::record(std::move(s));
+}
+
 // --- Google-Benchmark suite ------------------------------------------------
 
 void BM_DDKernel(benchmark::State& state) {
@@ -651,6 +733,7 @@ int main(int argc, char** argv) {
   run_grind_suite();
   run_group_set_grind_suite();
   run_metrics_overhead_suite();
+  run_engine_overhead_suite();
   // The Google-Benchmark suite only runs when explicitly requested, so
   // `bench_micro --json` stays a fast grind-rate probe for CI.
   bool want_gbench = false;

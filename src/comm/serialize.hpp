@@ -92,8 +92,7 @@ class ByteReader {
   template <class T>
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = read<std::uint64_t>();
-    JSWEEP_CHECK(pos_ + n * sizeof(T) <= buf_.size());
+    const auto n = read_length(sizeof(T), "vector");
     std::vector<T> v(n);
     if (n) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -102,8 +101,7 @@ class ByteReader {
 
   /// Read a length-prefixed string written by write_string().
   std::string read_string() {
-    const auto n = read<std::uint64_t>();
-    JSWEEP_CHECK(pos_ + n <= buf_.size());
+    const auto n = read_length(1, "string");
     std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -113,8 +111,23 @@ class ByteReader {
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
   /// Current read offset in bytes.
   [[nodiscard]] std::size_t position() const { return pos_; }
+  /// Bytes not yet consumed.
+  [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
 
  private:
+  /// Read a length prefix of `what` and check that that many elements of
+  /// `elem_size` bytes remain — by division, so a corrupt length cannot
+  /// wrap the byte count.
+  std::size_t read_length(std::size_t elem_size, const char* what) {
+    const auto n = read<std::uint64_t>();
+    JSWEEP_CHECK_MSG(n <= remaining() / elem_size,
+                     "ByteReader: " << what << " length " << n << " × "
+                                    << elem_size << " bytes overruns the "
+                                    << remaining() << " bytes left at "
+                                    << pos_);
+    return static_cast<std::size_t>(n);
+  }
+
   const Bytes& buf_;
   std::size_t pos_ = 0;
 };

@@ -1,9 +1,11 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <queue>
 #include <thread>
 
@@ -34,11 +36,20 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 /// Environment override for an integer-valued engine knob; returns
-/// `fallback` when the variable is unset or empty.
+/// `fallback` when the variable is unset or empty. Anything but a whole
+/// decimal int is a CheckError naming the variable, never a silent 0.
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
+  errno = 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(v, &end, 10);
+  JSWEEP_CHECK_MSG(errno == 0 && *end == '\0' &&
+                       parsed >= std::numeric_limits<int>::min() &&
+                       parsed <= std::numeric_limits<int>::max(),
+                   "environment variable " << name << "='" << v
+                                           << "' is not an integer");
+  return static_cast<int>(parsed);
 }
 
 }  // namespace
@@ -102,8 +113,12 @@ Engine::Engine(comm::Context& ctx, EngineConfig config)
                    "engine needs at least one worker thread");
   // Runtime knobs get the final say, so CI and operators can force a
   // scheduling mode without touching call sites.
-  config_.work_stealing =
-      env_int("JSWEEP_WORK_STEALING", config_.work_stealing ? 1 : 0) != 0;
+  const int stealing =
+      env_int("JSWEEP_WORK_STEALING", config_.work_stealing ? 1 : 0);
+  JSWEEP_CHECK_MSG(stealing == 0 || stealing == 1,
+                   "environment variable JSWEEP_WORK_STEALING="
+                       << stealing << " must be 0 or 1");
+  config_.work_stealing = stealing == 1;
   config_.steal_spin_rounds = std::max(
       0, env_int("JSWEEP_STEAL_SPIN", config_.steal_spin_rounds));
   remote_staging_.resize(static_cast<std::size_t>(ctx_.size()));
@@ -327,21 +342,28 @@ void Engine::worker_loop(Worker& w) {
       if (ps == nullptr) return;
     }
     if (metric_queue_depth_ != nullptr) metric_queue_depth_->add(-1.0);
-    const std::int64_t exec_t0 = tr != nullptr ? rec->now_ns() : 0;
     try {
-      Completion c = execute(*ps);
-      if (tr != nullptr) {
-        auto e =
-            trace::make_span(trace::EventKind::Exec, exec_t0, rec->now_ns());
-        e.src = ps->program->key();
-        e.bytes = c.retired;
-        tr->record(e);
+      // Chained executions: while the program stays runnable, hand each
+      // compute()'s outputs to the master as a partial completion and
+      // compute again at once, with the working set still in cache. Only
+      // the final (halted) completion settles the program's state.
+      for (bool halted = false; !halted;) {
+        const std::int64_t exec_t0 = tr != nullptr ? rec->now_ns() : 0;
+        Completion c = execute(*ps);
+        halted = c.halted;
+        if (tr != nullptr) {
+          auto e = trace::make_span(trace::EventKind::Exec, exec_t0,
+                                    rec->now_ns());
+          e.src = ps->program->key();
+          e.bytes = c.retired;
+          tr->record(e);
+        }
+        {
+          const std::lock_guard<std::mutex> lock(completion_mutex_);
+          completions_.push_back(std::move(c));
+        }
+        completions_pending_.fetch_add(1, std::memory_order_release);
       }
-      {
-        const std::lock_guard<std::mutex> lock(completion_mutex_);
-        completions_.push_back(std::move(c));
-      }
-      completions_pending_.fetch_add(1, std::memory_order_release);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(error_mutex_);
       if (!worker_error_) worker_error_ = std::current_exception();
@@ -688,13 +710,15 @@ void Engine::master_loop(comm::SafraDetector* det,
         local_remaining_ -= c.retired;
         if (det != nullptr && !c.outputs.empty()) det->on_active();
         route_outputs(std::move(c.outputs));
+        // A partial completion: its worker is already computing again.
+        if (!c.halted) continue;
         ProgramState& ps = *c.ps;
         bool inbox_nonempty;
         {
           const std::lock_guard<std::mutex> lock(ps.inbox_mutex);
           inbox_nonempty = !ps.inbox.empty();
         }
-        if (!c.halted || inbox_nonempty) {
+        if (inbox_nonempty) {
           enqueue(ps);  // still Active
         } else {
           ps.state = ProgramState::St::Idle;

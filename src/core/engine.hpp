@@ -17,6 +17,14 @@
 /// lightest-loaded worker (dynamic owner assignment, Sec. IV-B; ties break
 /// on a seeded rotation so repeated runs make the same choices).
 ///
+/// Executions chain: a program still runnable after compute() (typically
+/// because its cluster grain cut the batch) stays on its worker, which
+/// hands that cluster's outputs to the master as a partial completion and
+/// calls compute() again at once — no round trip through the master and a
+/// queue, so the next cluster runs while the working set is in cache. Only
+/// the final, halted completion re-queues the program (if streams arrived)
+/// or returns it to idle.
+///
 /// Workers steal: instead of blocking the moment its own queue drains, an
 /// idle worker scans the other workers' queues in a seeded victim order,
 /// takes the highest-priority stealable entry, and only falls back to a
@@ -76,11 +84,13 @@ struct EngineConfig {
   /// Work stealing between this rank's workers: an idle worker scans the
   /// other queues (seeded victim order) for the highest-priority stealable
   /// entry instead of blocking immediately. The environment variable
-  /// JSWEEP_WORK_STEALING=0|1, when set, overrides this at construction.
+  /// JSWEEP_WORK_STEALING=0|1, when set, overrides this at construction
+  /// (any other value throws CheckError).
   bool work_stealing = true;
   /// Bounded spin: empty steal-scan rounds an idle worker burns before it
   /// falls back to a timed block on its condition variable. Overridable
-  /// via the JSWEEP_STEAL_SPIN environment variable.
+  /// via the JSWEEP_STEAL_SPIN environment variable (a non-integer value
+  /// throws CheckError).
   int steal_spin_rounds = 64;
   /// Seed for the deterministic scheduling tie-breaks (enqueue-target
   /// rotation and per-worker steal-victim order). Same seed, same inputs
@@ -91,7 +101,7 @@ struct EngineConfig {
 /// Counters and timings of the most recent Engine::run().
 struct EngineStats {
   double elapsed_seconds = 0.0;      ///< wall time of the run
-  std::int64_t executions = 0;       ///< patch-program executions
+  std::int64_t executions = 0;       ///< compute() calls (chained included)
   std::int64_t streams_local = 0;    ///< streams delivered within the rank
   std::int64_t streams_remote = 0;   ///< streams sent across ranks
   std::int64_t stream_bytes = 0;     ///< payload bytes of remote streams

@@ -47,7 +47,9 @@ class PatchProgram {
   virtual std::optional<Stream> output() = 0;
 
   /// True when the program has no runnable work left; it becomes inactive
-  /// until the next stream arrives (state machine of Fig. 7).
+  /// until the next stream arrives (state machine of Fig. 7). While it
+  /// returns false the data-driven Engine calls compute() again on the same
+  /// worker.
   virtual bool vote_to_halt() = 0;
 
   /// Remaining known work units (e.g., unswept (cell, angle) vertices).

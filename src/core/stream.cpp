@@ -30,6 +30,14 @@ comm::Bytes pack_streams(const std::vector<Stream>& streams) {
 std::vector<Stream> unpack_streams(const comm::Bytes& payload) {
   comm::ByteReader r(payload);
   const auto count = r.read<std::uint32_t>();
+  // Every stream needs at least its fixed header; check before reserving
+  // so a corrupt count cannot request a huge allocation.
+  constexpr std::size_t kHeaderBytes =
+      2 * sizeof(WireKey) + sizeof(double) + sizeof(std::uint64_t);
+  JSWEEP_CHECK_MSG(count <= r.remaining() / kHeaderBytes,
+                   "stream batch count " << count << " exceeds what "
+                                         << r.remaining()
+                                         << " payload bytes can hold");
   std::vector<Stream> streams;
   streams.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -42,6 +50,8 @@ std::vector<Stream> unpack_streams(const comm::Bytes& payload) {
     s.data = r.read_vector<std::byte>();
     streams.push_back(std::move(s));
   }
+  JSWEEP_CHECK_MSG(r.exhausted(), "stream batch has " << r.remaining()
+                                                      << " trailing bytes");
   return streams;
 }
 

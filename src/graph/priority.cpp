@@ -140,7 +140,7 @@ std::vector<double> priorities_impl(PriorityStrategy strategy,
       for (std::size_t v = 0; v < n; ++v) {
         // Unreachable-from-boundary vertices (interior sinks) get the
         // lowest priority: they can't unblock anyone else.
-        prio[v] = dist[v] == kInf ? -static_cast<double>(kInf) : -dist[v];
+        prio[v] = dist[v] == kInf ? kUnreachablePriority : -dist[v];
       }
       break;
     }

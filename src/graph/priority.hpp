@@ -17,6 +17,7 @@
 ///         best performer).
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,19 @@ std::vector<std::int32_t> ldcp_depths(const Digraph& g);
 std::vector<std::int32_t> forward_distance_to(const Digraph& g,
                                               const std::vector<char>& targets);
 
+/// SLBD priority of a vertex from which no boundary vertex is reachable:
+/// below every finite priority, since it cannot unblock another patch.
+inline constexpr double kUnreachablePriority =
+    -static_cast<double>(std::numeric_limits<std::int32_t>::max());
+
 /// Vertex priorities for one patch task graph. `strategy` maps to:
 ///   BFS  : -level        (upwind levels first)
 ///   LDCP : +depth        (longest remaining chain first)
-///   SLBD : -distance to a vertex with a remote outgoing edge
+///   SLBD : -distance to a vertex with a remote outgoing edge, or
+///          kUnreachablePriority when no such vertex is downwind
 ///   None : 0 everywhere  (FIFO order)
+/// Every value is an integer, and the finite ones span fewer values than
+/// the graph has vertices.
 std::vector<double> vertex_priorities(PriorityStrategy strategy,
                                       const PatchTaskGraph& g);
 

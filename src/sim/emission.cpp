@@ -1,7 +1,6 @@
 #include "sim/emission.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "graph/sweep_dag.hpp"
 #include "mesh/generators.hpp"
@@ -69,18 +68,11 @@ TransferCurves curves_from_task_data(const sweep::SweepTaskData& data,
   for (const auto& e : data.graph().remote_in)
     ++remote_in[static_cast<std::size_t>(e.v)];
 
-  struct Entry {
-    double priority;
-    std::int32_t v;
-    bool operator<(const Entry& o) const {
-      if (priority != o.priority) return priority < o.priority;
-      return v > o.v;
-    }
-  };
-  std::priority_queue<Entry> ready;
+  sweep::ReadySet ready;
+  ready.reset(n);
   for (std::int32_t v = 0; v < n; ++v)
     if (counts[static_cast<std::size_t>(v)] == 0)
-      ready.push({data.vertex_priority(v), v});
+      ready.push(data.vertex_rank(v));
 
   double total_out = 0;
   double total_in = 0;
@@ -97,15 +89,14 @@ TransferCurves curves_from_task_data(const sweep::SweepTaskData& data,
   std::int32_t popped = 0;
   std::int32_t in_chunk = 0;
   while (!ready.empty()) {
-    const auto v = ready.top().v;
-    ready.pop();
+    const auto v = data.vertex_at_rank(ready.pop());
     ++popped;
     ++in_chunk;
     emitted += remote_out[static_cast<std::size_t>(v)];
     consumed += remote_in[static_cast<std::size_t>(v)];
     data.for_out_local(v, [&](const sweep::OutLocal& e) {
       if (--counts[static_cast<std::size_t>(e.w)] == 0)
-        ready.push({data.vertex_priority(e.w), e.w});
+        ready.push(data.vertex_rank(e.w));
     });
     if (in_chunk == grain || ready.empty()) {
       curves.emission.push_back(emitted / total_out);

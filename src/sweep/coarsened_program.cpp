@@ -129,7 +129,7 @@ CoarsenedSweepProgram::CoarsenedSweepProgram(const CoarsenedSweepData& data,
 
 void CoarsenedSweepProgram::init() {
   counts_ = data_.initial_counts();
-  ready_ = {};
+  ready_.reset(data_.num_clusters());
   for (std::int32_t c = 0; c < data_.num_clusters(); ++c)
     if (counts_[static_cast<std::size_t>(c)] == 0) ready_.push(c);
   lease_.reset_for_run(shared_);
@@ -159,8 +159,10 @@ void CoarsenedSweepProgram::input(const core::Stream& s) {
   }
   sn::FaceFluxWorkspace& flux =
       lease_.ensure(shared_, data_.fine(), lag_group(), set_width_);
-  const auto deliver = [&](std::int64_t dst_cell) {
-    const std::int32_t v = shared_.patches->local_index(CellId{dst_cell});
+  const auto vertex_of = [&](std::int64_t dst_cell) {
+    return shared_.patches->local_index(CellId{dst_cell});
+  };
+  const auto deliver = [&](std::int32_t v) {
     const auto c = data_.cluster_of()[static_cast<std::size_t>(v)];
     auto& count = counts_[static_cast<std::size_t>(c)];
     JSWEEP_CHECK_MSG(count > 0, "coarse dependency underflow at cluster "
@@ -171,15 +173,17 @@ void CoarsenedSweepProgram::input(const core::Stream& s) {
     for_each_set_item(
         s.data, set_width_,
         [&](std::int64_t cell, std::int64_t face, const double* lanes) {
-          const std::int32_t slot = data_.fine().slot_of_remote_in(face);
+          const std::int32_t v = vertex_of(cell);
+          const std::int32_t slot = data_.fine().slot_of_remote_in(v, face);
           for (int l = 0; l < set_width_; ++l)
             flux.write(slot * set_width_ + l, lanes[l]);
-          deliver(cell);
+          deliver(v);
         });
   } else {
     for_each_item(s.data, [&](const StreamItem& item) {
-      flux.write(data_.fine().slot_of_remote_in(item.face), item.value);
-      deliver(item.cell);
+      const std::int32_t v = vertex_of(item.cell);
+      flux.write(data_.fine().slot_of_remote_in(v, item.face), item.value);
+      deliver(v);
     });
   }
 }
@@ -188,8 +192,7 @@ void CoarsenedSweepProgram::compute() {
   if (!gate_open_ || ready_.empty()) return;
   sn::FaceFluxWorkspace& flux =
       lease_.ensure(shared_, data_.fine(), lag_group(), set_width_);
-  const std::int32_t c = ready_.top();
-  ready_.pop();
+  const std::int32_t c = ready_.pop();
 
   const sn::Ordinate& ang = shared_.quad->angle(angle_.value());
   const sn::Discretization* disc = shared_.disc;

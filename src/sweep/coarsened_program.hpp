@@ -13,7 +13,6 @@
 /// one that started later — the global coarse graph is acyclic (the
 /// distributed extension of the paper's Theorem 1).
 
-#include <queue>
 #include <vector>
 
 #include "core/patch_program.hpp"
@@ -122,11 +121,9 @@ class CoarsenedSweepProgram final : public core::PatchProgram {
   int group_base_ = 0;
 
   std::vector<std::int32_t> counts_;  ///< per cluster
-  /// Ready clusters in creation order (min-heap on cluster id — creation
-  /// order is a topological order of CG).
-  std::priority_queue<std::int32_t, std::vector<std::int32_t>,
-                      std::greater<>>
-      ready_;
+  /// Ready clusters, popped in creation order: the cluster id is its rank
+  /// (creation order is a topological order of CG).
+  ReadySet ready_;
   WorkspaceLease lease_;
   std::vector<std::vector<StreamItem>> out_items_;  ///< by destination slot
   /// Group-set out buffers (set_width_ > 1), mirroring SweepPatchProgram.

@@ -71,10 +71,12 @@ inline std::size_t item_count(const comm::Bytes& bytes) {
                    "stream payload truncated: " << bytes.size() << " bytes");
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data(), sizeof(count));
+  // Compare by division: count · 24 must not wrap on a corrupt count.
+  const std::size_t body = bytes.size() - sizeof(count);
   JSWEEP_CHECK_MSG(
-      bytes.size() == sizeof(count) + count * sizeof(StreamItem),
-      "stream payload size mismatch: " << bytes.size() << " bytes for "
-                                       << count << " items");
+      body % sizeof(StreamItem) == 0 && count == body / sizeof(StreamItem),
+      "stream payload item count " << count << " does not match its "
+                                   << bytes.size() << " bytes");
   return static_cast<std::size_t>(count);
 }
 
@@ -162,11 +164,12 @@ inline std::size_t set_item_count(const comm::Bytes& bytes, int width) {
                                                     << " bytes");
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data(), sizeof(count));
-  JSWEEP_CHECK_MSG(
-      bytes.size() == sizeof(count) + count * set_record_size(width),
-      "set stream payload size mismatch: " << bytes.size() << " bytes for "
-                                           << count << " records at width "
-                                           << width);
+  const std::size_t body = bytes.size() - sizeof(count);
+  const std::size_t rec = set_record_size(width);
+  JSWEEP_CHECK_MSG(body % rec == 0 && count == body / rec,
+                   "set stream payload record count "
+                       << count << " does not match its " << bytes.size()
+                       << " bytes at width " << width);
   return static_cast<std::size_t>(count);
 }
 

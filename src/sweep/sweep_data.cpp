@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <sstream>
 #include <unordered_map>
 
 #include "support/check.hpp"
@@ -48,7 +50,7 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
   JSWEEP_CHECK_MSG(!any_lagged_ || (lagged != nullptr && dense),
                    "task graph has lagged edges but no LaggedFluxStore");
 
-  // Local out-edges with faces, CSR by source vertex.
+  // Local out-edges, CSR by source vertex.
   out_off_.assign(n + 1, 0);
   for (const auto& e : graph_.local_edges)
     ++out_off_[static_cast<std::size_t>(e.u) + 1];
@@ -56,10 +58,10 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
     out_off_[i] += out_off_[i - 1];
   out_.resize(graph_.local_edges.size());
   {
-    std::vector<std::int64_t> cursor(out_off_.begin(), out_off_.end() - 1);
+    std::vector<std::int32_t> cursor(out_off_.begin(), out_off_.end() - 1);
     for (const auto& e : graph_.local_edges)
       out_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++)] =
-          {e.v, e.face};
+          {e.v};
   }
 
   // Dense face-flux index: intern every face the kernel can touch for any
@@ -100,15 +102,19 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
     return it->second;
   };
 
-  // Remote-in faces: sorted (face → slot) table for the stream input path.
-  if (dense) {
-    remote_in_slots_.reserve(graph_.remote_in.size());
+  // Remote-in faces, CSR by destination vertex: a stream item names its
+  // cell, so the input path scans only that vertex's few faces.
+  rin_off_.assign(n + 1, 0);
+  for (const auto& e : graph_.remote_in)
+    ++rin_off_[static_cast<std::size_t>(e.v) + 1];
+  for (std::size_t i = 1; i < rin_off_.size(); ++i)
+    rin_off_[i] += rin_off_[i - 1];
+  rin_.resize(graph_.remote_in.size());
+  {
+    std::vector<std::int32_t> cursor(rin_off_.begin(), rin_off_.end() - 1);
     for (const auto& e : graph_.remote_in)
-      remote_in_slots_.emplace_back(e.face, resolve(e.face));
-    std::sort(remote_in_slots_.begin(), remote_in_slots_.end());
-    remote_in_slots_.erase(
-        std::unique(remote_in_slots_.begin(), remote_in_slots_.end()),
-        remote_in_slots_.end());
+      rin_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++)] =
+          RemoteIn{e.face, resolve(e.face)};
   }
 
   // Distinct destination patches, ascending (stream emission order must
@@ -133,7 +139,7 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
     rout_off_[i] += rout_off_[i - 1];
   rout_.resize(graph_.remote_out.size());
   {
-    std::vector<std::int64_t> cursor(rout_off_.begin(), rout_off_.end() - 1);
+    std::vector<std::int32_t> cursor(rout_off_.begin(), rout_off_.end() - 1);
     for (const auto& e : graph_.remote_out) {
       const std::int32_t d = dst_index(e.dst_patch);
       ++dst_capacity_[static_cast<std::size_t>(d)];
@@ -180,7 +186,7 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
     for (std::size_t i = 1; i < lag_off_.size(); ++i)
       lag_off_[i] += lag_off_[i - 1];
     lag_slots_.resize(static_cast<std::size_t>(lag_off_.back()));
-    std::vector<std::int64_t> cursor(lag_off_.begin(), lag_off_.end() - 1);
+    std::vector<std::int32_t> cursor(lag_off_.begin(), lag_off_.end() - 1);
     const auto place = [&](std::int32_t u, std::int64_t face,
                            std::int32_t store_slot) {
       lag_slots_[static_cast<std::size_t>(
@@ -196,20 +202,57 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
   }
 
   num_slots_ = static_cast<std::int64_t>(slot_of.size());
-  vprio_ = graph::vertex_priorities(vertex_strategy, graph_);
+  vertex_at_ =
+      vertex_rank_order(graph::vertex_priorities(vertex_strategy, graph_));
+  rank_of_.resize(n);
+  for (std::size_t r = 0; r < n; ++r)
+    rank_of_[static_cast<std::size_t>(vertex_at_[r])] =
+        static_cast<std::int32_t>(r);
 }
 
-std::int32_t SweepTaskData::slot_of_remote_in(std::int64_t face) const {
-  const auto it = std::lower_bound(
-      remote_in_slots_.begin(), remote_in_slots_.end(), face,
-      [](const std::pair<std::int64_t, std::int32_t>& a, std::int64_t f) {
-        return a.first < f;
-      });
-  JSWEEP_CHECK_MSG(it != remote_in_slots_.end() && it->first == face,
-                   "stream delivered flux for face "
-                       << face << " which patch " << graph_.patch
-                       << " never reads");
-  return it->second;
+void SweepTaskData::unknown_remote_in(std::int32_t v,
+                                      std::int64_t face) const {
+  std::ostringstream os;
+  os << "stream delivered flux for face " << face << " to vertex " << v
+     << " of patch " << graph_.patch
+     << ", which never reads it from another patch";
+  detail::check_failed("slot_of_remote_in(v, face)", __FILE__, __LINE__,
+                       os.str());
+}
+
+std::vector<std::int32_t> vertex_rank_order(
+    const std::vector<double>& priority) {
+  const std::size_t n = priority.size();
+  // Finite priorities p map to bucket hi - p (highest first); the SLBD
+  // sentinel takes one trailing bucket. Placing vertices in ascending id
+  // keeps each bucket in id order.
+  double lo = 0.0;
+  double hi = 0.0;
+  bool any = false;
+  for (const double p : priority) {
+    if (p == graph::kUnreachablePriority) continue;
+    JSWEEP_CHECK_MSG(p == std::floor(p),
+                     "vertex priority " << p << " is not an integer");
+    lo = any ? std::min(lo, p) : p;
+    hi = any ? std::max(hi, p) : p;
+    any = true;
+  }
+  JSWEEP_CHECK_MSG(hi - lo < static_cast<double>(std::max<std::size_t>(n, 1)),
+                   "vertex priorities span " << hi - lo << " for " << n
+                                             << " vertices");
+  const auto sentinel = static_cast<std::size_t>(hi - lo) + 1;
+  const auto bucket = [&](double p) {
+    return p == graph::kUnreachablePriority ? sentinel
+                                            : static_cast<std::size_t>(hi - p);
+  };
+  std::vector<std::int32_t> next(sentinel + 2, 0);
+  for (const double p : priority) ++next[bucket(p) + 1];
+  for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<std::int32_t> order(n);
+  for (std::size_t v = 0; v < n; ++v)
+    order[static_cast<std::size_t>(next[bucket(priority[v])]++)] =
+        static_cast<std::int32_t>(v);
+  return order;
 }
 
 }  // namespace jsweep::sweep

@@ -2,19 +2,22 @@
 
 /// \file sweep_data.hpp
 /// Immutable sweep data shared by every engine and every source iteration:
-/// the dependency graph in per-vertex CSR form (with face ids), vertex
-/// priorities, and the *dense face-flux index* — every face this task can
-/// touch (upwind in, interior, downwind out, lagged) resolved to a compact
-/// workspace slot so the kernels and the stream paths never hash at run
-/// time. One instance serves a (patch, octant) on structured meshes, where
-/// all of this depends on Ω only through the signs of its components; and
-/// a (patch, angle) on tet meshes and lagged tasks, whose store slots are
-/// per angle. The sweep direction is therefore not part of the data: the
-/// programs carry it. Building this once and reusing it across iterations
-/// mirrors the paper's constant-mesh assumption (Sec. V-E).
+/// the dependency graph in compact per-vertex CSR form, static vertex
+/// ranks (the priority order), and the *dense face-flux index* — every
+/// face this task can touch (upwind in, interior, downwind out, lagged)
+/// resolved to a compact workspace slot so the kernels and the stream
+/// paths never hash or search at run time. One instance serves a (patch,
+/// octant) on structured meshes, where all of this depends on Ω only
+/// through the signs of its components; and a (patch, angle) on tet meshes
+/// and lagged tasks, whose store slots are per angle. The sweep direction
+/// is therefore not part of the data: the programs carry it. Building this
+/// once and reusing it across iterations mirrors the paper's constant-mesh
+/// assumption (Sec. V-E).
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "graph/priority.hpp"
@@ -23,6 +26,7 @@
 #include "sn/discretization.hpp"
 #include "sn/face_flux.hpp"
 #include "sn/quadrature.hpp"
+#include "support/check.hpp"
 #include "support/ids.hpp"
 #include "sweep/lagged_flux.hpp"
 
@@ -61,8 +65,13 @@ namespace jsweep::sweep {
 
 /// A local downwind edge of one vertex.
 struct OutLocal {
-  std::int32_t w;       ///< downwind local vertex
-  std::int64_t face;    ///< connecting face
+  std::int32_t w;  ///< downwind local vertex
+};
+
+/// A remote upwind face of one vertex, resolved to its workspace slot.
+struct RemoteIn {
+  std::int64_t face;  ///< mesh face id carrying the flux in
+  std::int32_t slot;  ///< workspace slot of `face`
 };
 
 /// A remote downwind edge, fully resolved for the hot path: the carrying
@@ -113,6 +122,60 @@ struct BoundaryCoupling {
   std::vector<BoundaryWrite> writes;  ///< outgoing faces to stage
   /// True when the coupling carries no faces (all-vacuum patch boundary).
   [[nodiscard]] bool empty() const { return reads.empty() && writes.empty(); }
+};
+
+/// Vertices ordered by (priority desc, id asc): element r is the vertex of
+/// static rank r. Priorities must be integers spanning fewer values than
+/// there are vertices, plus optionally graph::kUnreachablePriority (ranked
+/// last) — true of every PriorityStrategy — so a counting sort suffices.
+[[nodiscard]] std::vector<std::int32_t> vertex_rank_order(
+    const std::vector<double>& priority);
+
+/// The ready vertices of one program run, as a two-level bitset over
+/// static vertex ranks: pop() takes the lowest set rank. With ranks from
+/// vertex_rank_order() that is the highest-priority ready vertex, lowest
+/// id among equals — exactly the pop order of a max-heap on
+/// (priority, -id), at a bit-set and a count-trailing-zeros per operation.
+class ReadySet {
+ public:
+  /// Empty the set and size it for ranks [0, n). Reuses capacity, so
+  /// re-arming a program for the next sweep allocates nothing.
+  void reset(std::int32_t n) {
+    const auto words = (static_cast<std::size_t>(n) + 63) / 64;
+    bits_.assign(words, 0);
+    summary_.assign((words + 63) / 64, 0);
+    first_ = 0;
+    size_ = 0;
+  }
+  /// Whether no rank is set.
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Insert `rank` (must not be present).
+  void push(std::int32_t rank) {
+    const auto w = static_cast<std::size_t>(rank) / 64;
+    JSWEEP_ASSERT((bits_[w] >> (rank % 64) & 1) == 0);
+    bits_[w] |= std::uint64_t{1} << (rank % 64);
+    summary_[w / 64] |= std::uint64_t{1} << (w % 64);
+    first_ = std::min(first_, w / 64);
+    ++size_;
+  }
+  /// Remove and return the lowest rank (the set must not be empty).
+  std::int32_t pop() {
+    JSWEEP_ASSERT(!empty());
+    while (summary_[first_] == 0) ++first_;
+    const std::size_t w = first_ * 64 + static_cast<std::size_t>(
+                                            std::countr_zero(summary_[first_]));
+    const int bit = std::countr_zero(bits_[w]);
+    bits_[w] &= bits_[w] - 1;
+    if (bits_[w] == 0) summary_[first_] &= ~(std::uint64_t{1} << (w % 64));
+    --size_;
+    return static_cast<std::int32_t>(w * 64) + bit;
+  }
+
+ private:
+  std::vector<std::uint64_t> bits_;     ///< bit r: rank r is ready
+  std::vector<std::uint64_t> summary_;  ///< bit w: bits_[w] != 0
+  std::size_t first_ = 0;               ///< no summary word below is set
+  std::int32_t size_ = 0;
 };
 
 /// Immutable per-(patch, structure class) sweep structure (see \ref
@@ -168,9 +231,14 @@ class SweepTaskData {
   [[nodiscard]] const std::vector<std::int32_t>& initial_counts() const {
     return graph_.initial_counts;
   }
-  /// Scheduling priority of vertex v within this program.
-  [[nodiscard]] double vertex_priority(std::int32_t v) const {
-    return vprio_[static_cast<std::size_t>(v)];
+  /// Static scheduling rank of vertex v within this program: vertices
+  /// ordered by (priority desc, id asc), rank 0 first (see ReadySet).
+  [[nodiscard]] std::int32_t vertex_rank(std::int32_t v) const {
+    return rank_of_[static_cast<std::size_t>(v)];
+  }
+  /// The vertex holding rank r (inverse of vertex_rank()).
+  [[nodiscard]] std::int32_t vertex_at_rank(std::int32_t r) const {
+    return vertex_at_[static_cast<std::size_t>(r)];
   }
   /// Total remote downwind edges (= max stream items per sweep).
   [[nodiscard]] std::int64_t num_remote_out() const {
@@ -184,9 +252,20 @@ class SweepTaskData {
   [[nodiscard]] const sn::CellFaceSlots& cell_slots(std::int32_t v) const {
     return cell_slots_[static_cast<std::size_t>(v)];
   }
-  /// Slot of an incoming remote face (stream input path; binary search
-  /// over the sorted remote-in face list — no hashing).
-  [[nodiscard]] std::int32_t slot_of_remote_in(std::int64_t face) const;
+  /// Slot of the remote face `face` feeding vertex v (stream input path: a
+  /// scan of v's few remote-in faces — no hashing, no search). Throws when
+  /// v does not read `face` from another patch.
+  [[nodiscard]] std::int32_t slot_of_remote_in(std::int32_t v,
+                                               std::int64_t face) const {
+    JSWEEP_CHECK_MSG(v >= 0 && v < num_vertices(),
+                     "stream delivered flux to vertex " << v << " of patch "
+                                                        << patch());
+    for (auto e = rin_off_[static_cast<std::size_t>(v)];
+         e < rin_off_[static_cast<std::size_t>(v) + 1]; ++e)
+      if (rin_[static_cast<std::size_t>(e)].face == face)
+        return rin_[static_cast<std::size_t>(e)].slot;
+    unknown_remote_in(v, face);
+  }
 
   // --- Stream destinations ----------------------------------------------
   /// Distinct downwind patches, ascending by id; RemoteOut::dst indexes
@@ -241,21 +320,26 @@ class SweepTaskData {
                 const LaggedFluxStore* lagged,
                 const BoundaryCoupling* boundary);
 
+  [[noreturn]] void unknown_remote_in(std::int32_t v,
+                                      std::int64_t face) const;
+
   graph::PatchTaskGraph graph_;
-  std::vector<std::int64_t> out_off_;
+  std::vector<std::int32_t> out_off_;
   std::vector<OutLocal> out_;
-  std::vector<std::int64_t> rout_off_;
+  std::vector<std::int32_t> rout_off_;
   std::vector<RemoteOut> rout_;
-  std::vector<double> vprio_;
+  std::vector<std::int32_t> rank_of_;
+  std::vector<std::int32_t> vertex_at_;
 
   std::int64_t num_slots_ = 0;
   std::vector<sn::CellFaceSlots> cell_slots_;
-  std::vector<std::pair<std::int64_t, std::int32_t>> remote_in_slots_;
+  std::vector<std::int32_t> rin_off_;
+  std::vector<RemoteIn> rin_;
   std::vector<PatchId> dst_patches_;
   std::vector<std::int64_t> dst_capacity_;
 
   std::vector<LaggedSlot> lagged_seed_;
-  std::vector<std::int64_t> lag_off_;
+  std::vector<std::int32_t> lag_off_;
   std::vector<LaggedSlot> lag_slots_;
   bool any_lagged_ = false;
 };

@@ -173,15 +173,12 @@ SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
   }
 }
 
-void SweepPatchProgram::mark_ready(std::int32_t v) {
-  ready_.push(ReadyEntry{data_.vertex_priority(v), v});
-}
-
 void SweepPatchProgram::init() {
   counts_ = data_.initial_counts();
-  ready_ = {};
+  ready_.reset(data_.num_vertices());
   for (std::int32_t v = 0; v < data_.num_vertices(); ++v)
-    if (counts_[static_cast<std::size_t>(v)] == 0) mark_ready(v);
+    if (counts_[static_cast<std::size_t>(v)] == 0)
+      ready_.push(data_.vertex_rank(v));
   // The workspace itself is borrowed lazily (WorkspaceLease::ensure) on
   // the first input or compute that touches flux.
   lease_.reset_for_run(shared_);
@@ -217,13 +214,15 @@ void SweepPatchProgram::input(const core::Stream& s) {
   }
   sn::FaceFluxWorkspace& flux =
       lease_.ensure(shared_, data_, lag_group(), set_width_);
-  const auto deliver = [&](std::int64_t dst_cell) {
+  const auto vertex_of = [&](std::int64_t dst_cell) {
     const CellId cell{dst_cell};
     JSWEEP_ASSERT(shared_.patches->patch_of(cell) == data_.patch());
-    const std::int32_t v = shared_.patches->local_index(cell);
+    return shared_.patches->local_index(cell);
+  };
+  const auto deliver = [&](std::int32_t v) {
     auto& count = counts_[static_cast<std::size_t>(v)];
     JSWEEP_CHECK_MSG(count > 0, "dependency underflow at vertex " << v);
-    if (--count == 0) mark_ready(v);
+    if (--count == 0) ready_.push(data_.vertex_rank(v));
   };
   if (set_width_ > 1) {
     // One record carries the whole set's lane fluxes for a face — one
@@ -231,15 +230,17 @@ void SweepPatchProgram::input(const core::Stream& s) {
     for_each_set_item(
         s.data, set_width_,
         [&](std::int64_t cell, std::int64_t face, const double* lanes) {
-          const std::int32_t slot = data_.slot_of_remote_in(face);
+          const std::int32_t v = vertex_of(cell);
+          const std::int32_t slot = data_.slot_of_remote_in(v, face);
           for (int l = 0; l < set_width_; ++l)
             flux.write(slot * set_width_ + l, lanes[l]);
-          deliver(cell);
+          deliver(v);
         });
   } else {
     for_each_item(s.data, [&](const StreamItem& item) {
-      flux.write(data_.slot_of_remote_in(item.face), item.value);
-      deliver(item.cell);
+      const std::int32_t v = vertex_of(item.cell);
+      flux.write(data_.slot_of_remote_in(v, item.face), item.value);
+      deliver(v);
     });
   }
 }
@@ -270,12 +271,15 @@ void SweepPatchProgram::compute() {
   const std::vector<double>& q = *q_ptr;
   const auto& cells = shared_.patches->cells(data_.patch());
 
+  // The workspace is borrowed once per cluster, and only when a vertex is
+  // ready to touch it.
+  sn::FaceFluxWorkspace* const ws =
+      ready_.empty() ? nullptr
+                     : &lease_.ensure(shared_, data_, lag_group(), set_width_);
   int in_batch = 0;
   while (!ready_.empty() && in_batch < options_.cluster_grain) {
-    sn::FaceFluxWorkspace& flux =
-        lease_.ensure(shared_, data_, lag_group(), set_width_);
-    const std::int32_t v = ready_.top().v;
-    ready_.pop();
+    sn::FaceFluxWorkspace& flux = *ws;
+    const std::int32_t v = data_.vertex_at_rank(ready_.pop());
     ++in_batch;
 
     const CellId cell = cells[static_cast<std::size_t>(v)];
@@ -302,7 +306,8 @@ void SweepPatchProgram::compute() {
     // this same batch — Listing 1's inner enqueue); remote edges buffer
     // stream items for their destination patch.
     data_.for_out_local(v, [&](const OutLocal& e) {
-      if (--counts_[static_cast<std::size_t>(e.w)] == 0) mark_ready(e.w);
+      if (--counts_[static_cast<std::size_t>(e.w)] == 0)
+        ready_.push(data_.vertex_rank(e.w));
     });
     if (set_width_ > 1) {
       data_.for_out_remote(v, [&](const RemoteOut& e) {

@@ -4,7 +4,7 @@
 /// The data-driven Sn sweep patch-program — a faithful implementation of
 /// the paper's Listing 1. One instance handles one (patch, angle, group)
 /// task; its local context is the per-vertex dependency counters, the
-/// ready priority queue, the dense face-flux workspace and the
+/// rank-ordered ready set, the dense face-flux workspace and the
 /// per-destination out-stream buffers. compute() retires up to
 /// `cluster_grain` ready vertices per execution (vertex clustering,
 /// Sec. V-C) and can record the resulting clusters to build the coarsened
@@ -17,7 +17,6 @@
 /// the kernel grind performs no hash-map operation and no heap allocation.
 
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "core/buffer_pool.hpp"
@@ -211,17 +210,6 @@ class SweepPatchProgram final : public core::PatchProgram {
   [[nodiscard]] const SweepTaskData& data() const { return data_; }
 
  private:
-  struct ReadyEntry {
-    double priority;
-    std::int32_t v;
-    /// Max-heap by priority; deterministic tie-break on vertex id.
-    bool operator<(const ReadyEntry& o) const {
-      if (priority != o.priority) return priority < o.priority;
-      return v > o.v;
-    }
-  };
-
-  void mark_ready(std::int32_t v);
   /// Base energy group selecting this run's lagged-flux stride: the
   /// program's set base when pipelined (== its group at set width 1), the
   /// solver-set current group otherwise.
@@ -242,7 +230,7 @@ class SweepPatchProgram final : public core::PatchProgram {
 
   // --- Local context (Listing 1, part 1), reset by init() ---------------
   std::vector<std::int32_t> counts_;
-  std::priority_queue<ReadyEntry> ready_;
+  ReadySet ready_;  ///< by vertex rank (SweepTaskData::vertex_rank)
   WorkspaceLease lease_;
   std::vector<std::vector<StreamItem>> out_items_;  ///< by destination slot
   /// Group-set out buffers (set_width_ > 1): one record + set_width_

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include "comm/cluster.hpp"
 #include "comm/serialize.hpp"
@@ -12,6 +13,7 @@
 #include "core/stream.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "sweep/stream_codec.hpp"
 
 namespace jsweep::comm {
 namespace {
@@ -161,6 +163,95 @@ TEST(StreamCodec, TruncatedWireThrows) {
   Bytes wire = core::pack_streams({make_stream(0, 1, 0, 64)});
   wire.resize(wire.size() / 2);
   EXPECT_THROW(core::unpack_streams(wire), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Crafted payloads: corrupt length fields must fail as a CheckError that
+// names the field, never wrap a bounds check or size a huge allocation.
+// ---------------------------------------------------------------------------
+
+/// Run `f`, expect a CheckError whose message contains `field`.
+template <class F>
+void expect_check_naming(F&& f, const std::string& field) {
+  try {
+    f();
+    ADD_FAILURE() << "no CheckError (expected one naming '" << field << "')";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CraftedPayload, VectorLengthWrappingByteCountThrows) {
+  // 2^61 doubles is 2^64 bytes: a `pos + n * sizeof(T) <= size` check
+  // would see the byte count wrap to 0 and pass.
+  ByteWriter w;
+  w.write(std::uint64_t{1} << 61);
+  w.write(0.0);
+  const Bytes b = w.take();
+  ByteReader r(b);
+  expect_check_naming([&] { (void)r.read_vector<double>(); },
+                      "vector length");
+}
+
+TEST(CraftedPayload, StringLengthWrappingOffsetThrows) {
+  // pos + n wraps for n near 2^64.
+  ByteWriter w;
+  w.write(~std::uint64_t{0});
+  w.write(std::uint64_t{0});
+  const Bytes b = w.take();
+  ByteReader r(b);
+  expect_check_naming([&] { (void)r.read_string(); }, "string length");
+}
+
+TEST(CraftedPayload, StreamBatchCountCheckedBeforeReserve) {
+  // A 4-byte batch claiming 2^32 - 1 streams must be refused up front, not
+  // reserve ~4e9 Streams first.
+  ByteWriter w;
+  w.write(std::uint32_t{0xffffffffu});
+  expect_check_naming([&] { (void)core::unpack_streams(w.take()); },
+                      "stream batch count");
+}
+
+TEST(CraftedPayload, StreamBatchTrailingBytesThrow) {
+  Bytes wire = core::pack_streams({make_stream(0, 1, 0, 16)});
+  wire.push_back(std::byte{0});
+  expect_check_naming([&] { (void)core::unpack_streams(wire); },
+                      "trailing bytes");
+}
+
+/// A 16-byte sweep payload whose count header claims (2^61 + 1) / 3 ≈
+/// 7.7e17 items: count · 24 wraps to exactly 8, the body size.
+Bytes wrapping_item_payload() {
+  ByteWriter w;
+  w.write(((std::uint64_t{1} << 61) + 1) / 3);
+  w.write(std::uint64_t{0});
+  return w.take();
+}
+
+TEST(CraftedPayload, SweepItemCountWrapThrows) {
+  const Bytes b = wrapping_item_payload();
+  ASSERT_EQ(b.size(), 16u);
+  expect_check_naming([&] { (void)sweep::item_count(b); }, "item count");
+  expect_check_naming(
+      [&] { sweep::for_each_item(b, [](const sweep::StreamItem&) {}); },
+      "item count");
+}
+
+TEST(CraftedPayload, SweepSetRecordCountWrapThrows) {
+  // Width 1 records are 24 bytes too, so the same count wraps.
+  const Bytes b = wrapping_item_payload();
+  expect_check_naming([&] { (void)sweep::set_item_count(b, 1); },
+                      "record count");
+  // A well-formed width-2 payload read at the wrong width is refused.
+  const Bytes two = [] {
+    Bytes out;
+    sweep::encode_set_items_into({{5, 7}}, {1.0, 2.0}, 2, out);
+    return out;
+  }();
+  EXPECT_EQ(sweep::set_item_count(two, 2), 1u);
+  expect_check_naming([&] { (void)sweep::set_item_count(two, 1); },
+                      "record count");
 }
 
 TEST(Cluster, PingPong) {

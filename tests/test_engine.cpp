@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <set>
+#include <string>
 
 #include "comm/cluster.hpp"
 #include "core/bsp_engine.hpp"
@@ -74,6 +78,10 @@ class TestDagProgram final : public PatchProgram {
   }
 
   void compute() override {
+    // A program has at most one execution in flight, whoever runs it.
+    JSWEEP_CHECK_MSG(!in_compute_.exchange(true),
+                     "concurrent compute() on " << key());
+    ++computes_;
     int in_batch = 0;
     while (!ready_.empty() && in_batch < grain_) {
       const auto v = ready_.back();
@@ -99,6 +107,7 @@ class TestDagProgram final : public PatchProgram {
       vs.clear();
       pending_.push_back(std::move(s));
     }
+    in_compute_.store(false);
   }
 
   std::optional<Stream> output() override {
@@ -117,10 +126,15 @@ class TestDagProgram final : public PatchProgram {
     return static_cast<std::int64_t>(vertices_.size());
   }
 
+  /// compute() calls over the program's lifetime (all runs).
+  [[nodiscard]] std::int64_t computes() const { return computes_; }
+
  private:
   std::vector<Vertex> vertices_;
   Log* log_;
   int grain_;
+  std::atomic<bool> in_compute_{false};
+  std::int64_t computes_ = 0;
   std::vector<std::int32_t> counts_;
   std::vector<std::int32_t> ready_;
   std::map<std::int32_t, std::vector<std::int32_t>> out_buffer_;
@@ -531,6 +545,195 @@ TEST(Engine, ParallelChainsStreamDeliveryRacesSteals) {
     const EngineStats& s = engine.stats();
     EXPECT_LE(s.steals, s.steal_attempts);
     EXPECT_GE(s.executions, kPatches);
+  });
+}
+
+/// A local chain of `len` vertices; vertex i also feeds vertex i of patch
+/// `dst` when dst >= 0. At grain 1 its program stays runnable across `len`
+/// compute() calls.
+std::vector<TestDagProgram::Vertex> chain_vertices(int len, int dst) {
+  std::vector<TestDagProgram::Vertex> vs(static_cast<std::size_t>(len));
+  for (int i = 0; i < len; ++i) {
+    auto& v = vs[static_cast<std::size_t>(i)];
+    v.initial_count = i == 0 ? 0 : 1;
+    if (i + 1 < len) v.local_out.push_back(i + 1);
+    if (dst >= 0) v.remote_out.emplace_back(dst, i);
+  }
+  return vs;
+}
+
+/// `len` independent vertices, each waiting for one stream item.
+std::vector<TestDagProgram::Vertex> sink_vertices(int len) {
+  std::vector<TestDagProgram::Vertex> vs(static_cast<std::size_t>(len));
+  for (auto& v : vs) v.initial_count = 1;
+  return vs;
+}
+
+TEST(Engine, ChainedExecutionsRouteEveryCluster) {
+  // A program that stays runnable across many compute() calls keeps its
+  // worker: its clusters run back to back, and each cluster's outputs are
+  // routed as it completes. With one worker, the higher-priority sink that
+  // the first cluster already fed still waits until the chain halts.
+  comm::Cluster::run(1, [](comm::Context& ctx) {
+    constexpr int kLen = 40;
+    Engine engine(ctx, {1, TerminationMode::KnownWorkload});
+    TestDagProgram::Log log;
+    auto source = std::make_unique<TestDagProgram>(
+        PatchId{0}, TaskTag{0}, chain_vertices(kLen, 1), &log, /*grain=*/1);
+    auto sink = std::make_unique<TestDagProgram>(
+        PatchId{1}, TaskTag{0}, sink_vertices(kLen), &log);
+    const TestDagProgram* src = source.get();
+    const TestDagProgram* snk = sink.get();
+    engine.add_program(std::move(source), /*priority=*/0.0, true);
+    engine.add_program(std::move(sink), /*priority=*/1.0, false);
+    engine.set_routes({RankId{0}, RankId{0}});
+    engine.run();
+
+    ASSERT_EQ(log.executed.size(), 2u * kLen);
+    std::set<std::int32_t> sunk;
+    for (int i = 0; i < 2 * kLen; ++i) {
+      const auto& [key, v] = log.executed[static_cast<std::size_t>(i)];
+      if (i < kLen) {
+        EXPECT_EQ(key.patch, PatchId{0}) << "entry " << i;
+        EXPECT_EQ(v, i);
+      } else {
+        EXPECT_EQ(key.patch, PatchId{1}) << "entry " << i;
+        sunk.insert(v);
+      }
+    }
+    EXPECT_EQ(sunk.size(), static_cast<std::size_t>(kLen));
+
+    const EngineStats& s = engine.stats();
+    EXPECT_EQ(src->computes(), kLen);
+    EXPECT_EQ(s.executions, src->computes() + snk->computes());
+    EXPECT_EQ(s.streams_local, kLen);  // one per source cluster
+    const double accounted = s.worker_busy_seconds + s.worker_idle_seconds;
+    EXPECT_NEAR(accounted, s.elapsed_seconds, 0.15 * s.elapsed_seconds + 0.02);
+  });
+}
+
+TEST(Engine, StealStormChainedProgramsRunOnce) {
+  // Chained programs under a steal storm: every program is one 8-cluster
+  // chain, so workers keep programs for many compute() calls while idle
+  // peers scan their queues. No program may ever run on two workers at
+  // once (TestDagProgram checks), and every vertex executes exactly once.
+  comm::Cluster::run(1, [](comm::Context& ctx) {
+    constexpr int kWorkers = 4;
+    constexpr int kPrograms = 64;
+    constexpr int kLen = 8;
+    EngineConfig cfg{kWorkers, TerminationMode::KnownWorkload};
+    cfg.steal_spin_rounds = 128;
+    cfg.scheduler_seed = 11;
+    Engine engine(ctx, cfg);
+    TestDagProgram::Log log;
+    std::vector<const TestDagProgram*> programs;
+    for (int p = 0; p < kPrograms; ++p) {
+      auto prog = std::make_unique<TestDagProgram>(
+          PatchId{p}, TaskTag{0}, chain_vertices(kLen, -1), &log, 1);
+      programs.push_back(prog.get());
+      engine.add_program(std::move(prog), static_cast<double>(p % 7), true);
+    }
+    engine.set_routes(std::vector<RankId>(kPrograms, RankId{0}));
+    engine.run();
+
+    ASSERT_EQ(log.executed.size(),
+              static_cast<std::size_t>(kPrograms) * kLen);
+    std::set<std::pair<int, std::int32_t>> seen;
+    for (const auto& [key, v] : log.executed)
+      EXPECT_TRUE(seen.emplace(key.patch.value(), v).second)
+          << key << " vertex " << v << " ran twice";
+    std::int64_t computes = 0;
+    for (const auto* prog : programs) {
+      EXPECT_EQ(prog->computes(), kLen) << prog->key();
+      computes += prog->computes();
+    }
+    const EngineStats& s = engine.stats();
+    EXPECT_EQ(s.executions, computes);
+    EXPECT_LE(s.steals, s.steal_attempts);
+    const double accounted = s.worker_busy_seconds + s.worker_idle_seconds;
+    EXPECT_NEAR(accounted, s.elapsed_seconds * kWorkers,
+                0.15 * s.elapsed_seconds * kWorkers + 0.02);
+  });
+}
+
+TEST(Engine, ChainedPartialOutputsCrossRanks) {
+  // Known-workload termination with partial outputs crossing ranks in both
+  // directions: each rank runs a grain-1 chain feeding a sink on the other
+  // rank, so every cluster's stream leaves the rank while its producer is
+  // still computing. Both ranks must retire everything and terminate.
+  comm::Cluster::run(2, [](comm::Context& ctx) {
+    constexpr int kLen = 30;
+    const int me = ctx.rank().value();
+    Engine engine(ctx, {2, TerminationMode::KnownWorkload});
+    TestDagProgram::Log log;
+    // Patches 0, 1 on rank 0 and 2, 3 on rank 1; chain 0 → sink 3 and
+    // chain 2 → sink 1.
+    const std::vector<RankId> owner{RankId{0}, RankId{0}, RankId{1},
+                                    RankId{1}};
+    auto chain = std::make_unique<TestDagProgram>(
+        PatchId{2 * me}, TaskTag{0}, chain_vertices(kLen, 3 - 2 * me), &log,
+        1);
+    auto sink = std::make_unique<TestDagProgram>(
+        PatchId{2 * me + 1}, TaskTag{0}, sink_vertices(kLen), &log);
+    const TestDagProgram* c = chain.get();
+    const TestDagProgram* s = sink.get();
+    engine.add_program(std::move(chain), 0.0, true);
+    engine.add_program(std::move(sink), 0.0, false);
+    engine.set_routes(owner);
+    engine.run();
+
+    EXPECT_EQ(log.executed.size(), 2u * kLen);
+    EXPECT_EQ(c->computes(), kLen);
+    EXPECT_EQ(engine.stats().executions, c->computes() + s->computes());
+    EXPECT_EQ(engine.stats().streams_remote, kLen);
+  });
+}
+
+/// Sets an environment variable for one scope, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Engine, EnvOverridesRejectJunk) {
+  // An atoi-style parse would turn JSWEEP_STEAL_SPIN=abc into 0 and
+  // JSWEEP_WORK_STEALING=yes into "off", silently. Junk must fail loudly,
+  // naming the variable; well-formed values are still accepted.
+  comm::Cluster::run(1, [](comm::Context& ctx) {
+    const EngineConfig cfg{1, TerminationMode::KnownWorkload};
+    const std::pair<const char*, const char*> junk[] = {
+        {"JSWEEP_STEAL_SPIN", "abc"},   {"JSWEEP_STEAL_SPIN", "12x"},
+        {"JSWEEP_STEAL_SPIN", "1e3"},   {"JSWEEP_STEAL_SPIN", "99999999999"},
+        {"JSWEEP_WORK_STEALING", "yes"}, {"JSWEEP_WORK_STEALING", "2"}};
+    for (const auto& [name, value] : junk) {
+      const ScopedEnv env(name, value);
+      try {
+        const Engine engine(ctx, cfg);
+        ADD_FAILURE() << name << "=" << value << " was accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+    const ScopedEnv spin("JSWEEP_STEAL_SPIN", "7");
+    const ScopedEnv stealing("JSWEEP_WORK_STEALING", "0");
+    EXPECT_NO_THROW(Engine(ctx, cfg));
   });
 }
 

@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <numbers>
+#include <numeric>
+#include <queue>
 
 #include "comm/cluster.hpp"
+#include "graph/priority.hpp"
+#include "graph/sweep_dag.hpp"
 #include "mesh/generators.hpp"
 #include "partition/adjacency.hpp"
 #include "partition/block_layout.hpp"
@@ -15,8 +21,10 @@
 #include "partition/patch_set.hpp"
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
+#include "support/rng.hpp"
 #include "sweep/kba.hpp"
 #include "sweep/solver.hpp"
+#include "sweep/sweep_data.hpp"
 
 namespace jsweep::sweep {
 namespace {
@@ -165,6 +173,148 @@ void expect_equal(const std::vector<double>& a, const std::vector<double>& b,
   for (const auto v : a) scale = std::max(scale, std::abs(v));
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_NEAR(a[i], b[i], tol * scale) << "cell " << i;
+}
+
+// ---------------------------------------------------------------------------
+// Task data: rank-ordered ready set and the per-vertex remote-in lookup
+// ---------------------------------------------------------------------------
+
+/// Reference max-heap entry (priority desc, id asc): ReadySet must pop in
+/// exactly this heap's order.
+struct HeapEntry {
+  double priority;
+  std::int32_t v;
+  bool operator<(const HeapEntry& o) const {
+    if (priority != o.priority) return priority < o.priority;
+    return v > o.v;
+  }
+};
+
+TEST(SweepTaskData, ReadySetPopsInHeapOrder) {
+  // Random integer priorities with many ties plus the SLBD unreachable
+  // sentinel; random interleavings of pushes and pops. Sizes span one
+  // bitset word, one summary word, and several summary words.
+  for (const std::int32_t n : {37, 700, 9000}) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<double> prio(static_cast<std::size_t>(n));
+    for (auto& p : prio)
+      p = rng.below(10) == 0
+              ? graph::kUnreachablePriority
+              : static_cast<double>(static_cast<std::int64_t>(
+                    rng.below(static_cast<std::uint64_t>(n / 8 + 2)))) -
+                    n / 16;
+    const std::vector<std::int32_t> order = vertex_rank_order(prio);
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(n));
+    for (std::int32_t r = 0; r < n; ++r)
+      rank[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])] = r;
+
+    std::vector<std::int32_t> pending(static_cast<std::size_t>(n));
+    std::iota(pending.begin(), pending.end(), 0);
+    for (std::size_t i = pending.size(); i > 1; --i)
+      std::swap(pending[i - 1], pending[rng.below(i)]);
+    ReadySet ready;
+    ready.reset(n);
+    std::priority_queue<HeapEntry> heap;
+    std::int32_t popped = 0;
+    while (popped < n) {
+      const bool push = !pending.empty() && (heap.empty() || rng.below(3) != 0);
+      if (push) {
+        const std::int32_t v = pending.back();
+        pending.pop_back();
+        ready.push(rank[static_cast<std::size_t>(v)]);
+        heap.push({prio[static_cast<std::size_t>(v)], v});
+        continue;
+      }
+      ASSERT_FALSE(ready.empty());
+      const std::int32_t v = order[static_cast<std::size_t>(ready.pop())];
+      ASSERT_EQ(v, heap.top().v) << "n=" << n << " pop " << popped;
+      heap.pop();
+      ++popped;
+    }
+    EXPECT_TRUE(ready.empty());
+  }
+}
+
+TEST(SweepTaskData, RankOrderMatchesEveryStrategy) {
+  // Each strategy's real priorities rank exactly as a stable sort by
+  // priority (descending) would order them.
+  const BallCase cs;
+  for (const auto strategy :
+       {graph::PriorityStrategy::None, graph::PriorityStrategy::BFS,
+        graph::PriorityStrategy::LDCP, graph::PriorityStrategy::SLBD}) {
+    for (int p = 0; p < cs.patches.num_patches(); ++p) {
+      const auto g = graph::build_patch_task_graph(
+          cs.mesh, cs.patches, PatchId{p}, cs.quad.angle(1).dir, AngleId{1});
+      const auto prio = graph::vertex_priorities(strategy, g);
+      std::vector<std::int32_t> expected(prio.size());
+      std::iota(expected.begin(), expected.end(), 0);
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](std::int32_t a, std::int32_t b) {
+                         return prio[static_cast<std::size_t>(a)] >
+                                prio[static_cast<std::size_t>(b)];
+                       });
+      EXPECT_EQ(vertex_rank_order(prio), expected)
+          << graph::to_string(strategy) << " patch " << p;
+    }
+  }
+}
+
+TEST(SweepTaskData, RemoteInLookupMatchesFaceTable) {
+  // The per-vertex remote-in CSR must resolve every remote face to the
+  // slot a patch-wide face → slot table gives: the slot the receiving
+  // cell's kernel reads that face from.
+  const BallCase cs;
+  std::int64_t checked = 0;
+  for (int a = 0; a < cs.quad.num_angles(); a += 3) {
+    const sn::Ordinate& ord = cs.quad.angle(a);
+    for (int p = 0; p < cs.patches.num_patches(); ++p) {
+      const SweepTaskData data(
+          graph::build_patch_task_graph(cs.mesh, cs.patches, PatchId{p},
+                                        ord.dir, AngleId{a}),
+          graph::PriorityStrategy::SLBD, cs.disc, cs.patches, ord);
+      const auto& cells = cs.patches.cells(PatchId{p});
+      std::map<std::int64_t, std::int32_t> face_table;
+      for (const auto& e : data.graph().remote_in) {
+        sn::CellFaceIds ids;
+        cs.disc.face_ids(cells[static_cast<std::size_t>(e.v)], ord, ids);
+        std::int32_t slot = -1;
+        for (int k = 0; k < ids.count; ++k)
+          if (ids.in[static_cast<std::size_t>(k)] == e.face)
+            slot = data.cell_slots(e.v).in[static_cast<std::size_t>(k)];
+        ASSERT_GE(slot, 0) << "face " << e.face << " is not an in-face";
+        face_table.emplace(e.face, slot);
+      }
+      for (const auto& e : data.graph().remote_in) {
+        EXPECT_EQ(data.slot_of_remote_in(e.v, e.face), face_table.at(e.face));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
+TEST(SweepTaskData, UnknownRemoteInFaceThrows) {
+  const BallCase cs;
+  const sn::Ordinate& ord = cs.quad.angle(0);
+  const SweepTaskData data(
+      graph::build_patch_task_graph(cs.mesh, cs.patches, PatchId{0}, ord.dir,
+                                    AngleId{0}),
+      graph::PriorityStrategy::SLBD, cs.disc, cs.patches, ord);
+  const auto& remote_in = data.graph().remote_in;
+  ASSERT_FALSE(remote_in.empty());
+  const auto& e = remote_in.front();
+  EXPECT_NO_THROW((void)data.slot_of_remote_in(e.v, e.face));
+  // A face no cell reads, a remote face delivered to the wrong vertex, and
+  // a vertex outside the patch all fail loudly.
+  EXPECT_THROW((void)data.slot_of_remote_in(e.v, -12345), CheckError);
+  for (const auto& other : remote_in)
+    if (other.v != e.v && other.face != e.face) {
+      EXPECT_THROW((void)data.slot_of_remote_in(other.v, e.face), CheckError);
+      break;
+    }
+  EXPECT_THROW((void)data.slot_of_remote_in(data.num_vertices(), e.face),
+               CheckError);
+  EXPECT_THROW((void)data.slot_of_remote_in(-1, e.face), CheckError);
 }
 
 // ---------------------------------------------------------------------------
