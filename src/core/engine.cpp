@@ -26,6 +26,31 @@ constexpr std::int64_t kMinTracedIdleNs = 1000;
 /// if it missed a notify aimed at another worker.
 constexpr auto kStealBlockQuantum = std::chrono::microseconds(100);
 
+/// Failed try_locks before lock_briefly() blocks: a few microseconds.
+constexpr int kBriefLockSpins = 64;
+
+/// A spin-wait hint to the CPU (no-op where there is none).
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Lock `m`, which guards only a few instructions (a queue push or pop, a
+/// vector swap). The holder lets go within nanoseconds, so retry a while
+/// before blocking: a futex sleep and wake-up costs microseconds, more on
+/// a virtualized host, and enough of them turn a busy engine into a convoy
+/// whose speed depends on how loaded the machine happens to be.
+std::unique_lock<std::mutex> lock_briefly(std::mutex& m) {
+  for (int i = 0; i < kBriefLockSpins; ++i) {
+    if (m.try_lock()) return std::unique_lock<std::mutex>(m, std::adopt_lock);
+    cpu_relax();
+  }
+  return std::unique_lock<std::mutex>(m);
+}
+
 /// splitmix64 finalizer: a cheap, well-mixed hash for the seeded
 /// scheduling tie-breaks (enqueue-target rotation, steal-victim order).
 std::uint64_t mix64(std::uint64_t x) {
@@ -97,6 +122,10 @@ struct Engine::Worker {
   std::priority_queue<Entry> queue;
   std::atomic<std::int64_t> load{0};
   std::atomic<bool> stop{false};
+  /// Finished executions awaiting the master. Per worker, so reporting one
+  /// contends only with the master's drain, never with the other workers.
+  std::mutex done_mutex;
+  std::vector<Completion> done;
   std::thread thread;
   double busy_seconds = 0.0;
   double idle_seconds = 0.0;
@@ -251,7 +280,7 @@ Engine::ProgramState* Engine::try_steal(Worker& w) {
   bool stolen = false;
   if (best < n) {
     Worker& victim = *workers_[best];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
+    const auto lock = lock_briefly(victim.mutex);
     if (!victim.queue.empty()) {
       ps = take_local(victim);
       if (&victim != &w) {
@@ -288,7 +317,7 @@ Engine::ProgramState* Engine::acquire_work(Worker& w) {
         std::this_thread::yield();
       }
     }
-    std::unique_lock<std::mutex> lock(w.mutex);
+    std::unique_lock<std::mutex> lock = lock_briefly(w.mutex);
     if (!w.queue.empty()) return take_local(w);
     if (w.stop.load(std::memory_order_relaxed)) return nullptr;
     if (stealing) {
@@ -319,7 +348,7 @@ void Engine::worker_loop(Worker& w) {
   for (;;) {
     ProgramState* ps = nullptr;
     {
-      const std::lock_guard<std::mutex> lock(w.mutex);
+      const auto lock = lock_briefly(w.mutex);
       if (!w.queue.empty()) ps = take_local(w);
     }
     if (ps == nullptr) {
@@ -359,8 +388,8 @@ void Engine::worker_loop(Worker& w) {
           tr->record(e);
         }
         {
-          const std::lock_guard<std::mutex> lock(completion_mutex_);
-          completions_.push_back(std::move(c));
+          const auto lock = lock_briefly(w.done_mutex);
+          w.done.push_back(std::move(c));
         }
         completions_pending_.fetch_add(1, std::memory_order_release);
       }
@@ -380,7 +409,7 @@ Engine::Completion Engine::execute(ProgramState& ps) {
   }
   std::vector<Stream> arrived;
   {
-    const std::lock_guard<std::mutex> lock(ps.inbox_mutex);
+    const auto lock = lock_briefly(ps.inbox_mutex);
     arrived.swap(ps.inbox);
   }
   for (auto& s : arrived) {
@@ -426,7 +455,7 @@ void Engine::enqueue(ProgramState& ps) {
   lightest->load.fetch_add(1, std::memory_order_relaxed);
   if (metric_queue_depth_ != nullptr) metric_queue_depth_->add(1.0);
   {
-    const std::lock_guard<std::mutex> lock(lightest->mutex);
+    const auto lock = lock_briefly(lightest->mutex);
     lightest->queue.push(Worker::Entry{ps.priority, enqueue_seq_++, &ps});
     queued_total_.fetch_add(1, std::memory_order_release);
   }
@@ -452,7 +481,7 @@ void Engine::deliver_local(Stream stream) {
     trace_master_->record(e);
   }
   {
-    const std::lock_guard<std::mutex> lock(ps.inbox_mutex);
+    const auto lock = lock_briefly(ps.inbox_mutex);
     ps.inbox.push_back(std::move(stream));
   }
   if (ps.state == ProgramState::St::Idle) {
@@ -670,6 +699,7 @@ void Engine::master_loop(comm::SafraDetector* det,
   // never overlaps the Route/Pack/Collective spans recorded after it.
   std::int64_t idle_t0 = -1;
   std::int64_t iter_t0 = 0;
+  std::vector<Completion> batch;
   for (;;) {
     bool progress = false;
     if (mt != nullptr) iter_t0 = rec->now_ns();
@@ -692,37 +722,41 @@ void Engine::master_loop(comm::SafraDetector* det,
       progress = true;
     }
 
-    // 2. Worker completions.
+    // 2. Worker completions, one worker's list at a time. The drained list
+    // swaps with `batch`, so both keep their capacity from poll to poll.
     if (completions_pending_.load(std::memory_order_acquire) > 0) {
-      std::vector<Completion> batch;
-      {
-        const std::lock_guard<std::mutex> lock(completion_mutex_);
-        batch.swap(completions_);
-      }
-      completions_pending_.fetch_sub(
-          static_cast<std::int64_t>(batch.size()), std::memory_order_release);
-      if (metric_executions_ != nullptr)
-        metric_executions_->inc(static_cast<std::int64_t>(batch.size()));
       route_time.start();
       const std::int64_t route_t0 = mt != nullptr ? rec->now_ns() : 0;
-      for (auto& c : batch) {
-        ++stats_.executions;
-        local_remaining_ -= c.retired;
-        if (det != nullptr && !c.outputs.empty()) det->on_active();
-        route_outputs(std::move(c.outputs));
-        // A partial completion: its worker is already computing again.
-        if (!c.halted) continue;
-        ProgramState& ps = *c.ps;
-        bool inbox_nonempty;
+      for (auto& w : workers_) {
+        batch.clear();
         {
-          const std::lock_guard<std::mutex> lock(ps.inbox_mutex);
-          inbox_nonempty = !ps.inbox.empty();
+          const auto lock = lock_briefly(w->done_mutex);
+          batch.swap(w->done);
         }
-        if (inbox_nonempty) {
-          enqueue(ps);  // still Active
-        } else {
-          ps.state = ProgramState::St::Idle;
-          --active_programs_;
+        if (batch.empty()) continue;
+        completions_pending_.fetch_sub(static_cast<std::int64_t>(batch.size()),
+                                       std::memory_order_release);
+        if (metric_executions_ != nullptr)
+          metric_executions_->inc(static_cast<std::int64_t>(batch.size()));
+        for (auto& c : batch) {
+          ++stats_.executions;
+          local_remaining_ -= c.retired;
+          if (det != nullptr && !c.outputs.empty()) det->on_active();
+          route_outputs(std::move(c.outputs));
+          // A partial completion: its worker is already computing again.
+          if (!c.halted) continue;
+          ProgramState& ps = *c.ps;
+          bool inbox_nonempty;
+          {
+            const auto lock = lock_briefly(ps.inbox_mutex);
+            inbox_nonempty = !ps.inbox.empty();
+          }
+          if (inbox_nonempty) {
+            enqueue(ps);  // still Active
+          } else {
+            ps.state = ProgramState::St::Idle;
+            --active_programs_;
+          }
         }
       }
       if (mt != nullptr)

@@ -213,9 +213,8 @@ class Engine {
   std::vector<RankId> patch_owner_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Master-side completion queue (workers push, master drains).
-  std::mutex completion_mutex_;
-  std::vector<Completion> completions_;
+  // Completions reported by workers (each into its own Worker::done) and
+  // not yet drained by the master.
   std::atomic<std::int64_t> completions_pending_{0};
 
   // First exception thrown inside a worker; rethrown by the master.

@@ -10,9 +10,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "comm/cluster.hpp"
 #include "core/bsp_engine.hpp"
+#include "core/buffer_pool.hpp"
 #include "core/engine.hpp"
 #include "core/thread_pool.hpp"
 #include "support/check.hpp"
@@ -175,6 +178,50 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.parallel_for(100, [&](std::int64_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 4950);
   }
+}
+
+TEST(BufferPool, BuffersReleasedOnOneThreadServeAnother) {
+  // Producers and consumers of a stream are different threads, hence
+  // (usually) different shards: a consumer's releases must still feed the
+  // producer's acquires instead of stranding in the consumer's shard.
+  constexpr int kBuffers = 32;
+  BufferPool pool;
+  std::thread consumer([&] {
+    for (int i = 0; i < kBuffers; ++i) pool.release(comm::Bytes(100));
+  });
+  consumer.join();
+  std::thread producer([&] {
+    for (int i = 0; i < kBuffers; ++i) {
+      const comm::Bytes b = pool.acquire();
+      EXPECT_TRUE(b.empty());
+      EXPECT_GE(b.capacity(), 100u) << "acquire " << i;
+    }
+  });
+  producer.join();
+  EXPECT_EQ(pool.acquires(), kBuffers);
+  EXPECT_EQ(pool.reuses(), kBuffers);
+  EXPECT_EQ(pool.acquire().capacity(), 0u);  // every buffer was handed out
+}
+
+TEST(BufferPool, ConcurrentAcquireReleaseKeepsCounts) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5000;
+  BufferPool pool;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        comm::Bytes b = pool.acquire();
+        b.resize(64);
+        pool.release(std::move(b));
+      }
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(pool.acquires(), std::int64_t{kThreads} * kRounds);
+  // Each thread gets its own buffer back almost every round; fresh ones
+  // are needed only while too few circulate.
+  EXPECT_GT(pool.reuses(), pool.acquires() / 2);
+  EXPECT_LE(pool.reuses(), pool.acquires());
 }
 
 /// Chain across patches: patch i vertex 0 feeds patch i+1 vertex 0.
