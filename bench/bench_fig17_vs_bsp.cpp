@@ -20,8 +20,9 @@ using namespace jsweep;
 
 namespace {
 
-/// Sim-scale cousin of sweep::auto_tune: scan a few cluster-grain
-/// candidates around the fixed default and keep the fastest. The grain is
+/// A measured scan like sweep::auto_tune's, but over the cluster grain (not
+/// the group-set width) and on the simulator: try a few grain candidates
+/// around the fixed default and keep the fastest. The grain is
 /// the knob that trades pipelining granularity (small grain = streams
 /// flow early, little idle) against per-chunk overhead, and the best
 /// point shifts with the core count — exactly what a static default

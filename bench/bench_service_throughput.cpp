@@ -6,8 +6,8 @@
 // Kobayashi problem, fixed sweep count per request so every mode does the
 // same transport work:
 //
-//   rebuild   — the pre-plan lifecycle: build the full task system anew
-//               for every request (what SweepSolver-per-solve costs);
+//   rebuild   — build the full task system anew for every request (a
+//               fresh SweepPlan + SweepSession per solve);
 //   sessions  — build ONE immutable plan, run a fresh SweepSession per
 //               request (plan reuse, serial requests);
 //   service   — the same plan behind a SweepService fusing max_batch

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -69,10 +70,7 @@ struct Options {
   double tolerance = 1e-6;
   int max_iterations = 200;
   bool auto_tune = false;
-  int steal = -1;       // -1 auto, 0 off, 1 on
-  int steal_spin = -1;  // -1 auto, >= 0 forces
   int sched_seed = 0;
-  bool no_source_overlap = false;
   std::string vtk;
   std::string trace;
   std::string metrics;
@@ -121,18 +119,13 @@ void usage() {
                                   cut mesh (default 1)
   --tolerance=T                   source-iteration tolerance (default 1e-6)
   --max-iterations=K              source-iteration cap (default 200)
-  --auto-tune                     calibrate group-set width and steal/spin
-                                  knobs with a short measured grind on the
-                                  actual plan before solving (jsweep engine;
+  --auto-tune                     pick the group-set width by a short
+                                  measured grind of each candidate width on
+                                  the actual plan before solving (needs
+                                  --groups=G > 1 and --engine=jsweep;
                                   overrides --group-set)
-  --steal=0|1                     force work stealing between engine workers
-                                  off/on (default: plan tuning or on)
-  --steal-spin=N                  steal-spin rounds before a worker blocks
-                                  (default: plan tuning or 64)
   --sched-seed=S                  seed of the engine's deterministic
                                   scheduling tie-breaks (default 0)
-  --no-source-overlap             disable the multigroup source-tail overlap
-                                  (next-pass q formation on idle workers)
   --vtk=PATH                      write flux + material as legacy VTK
   --trace=PATH                    record the runs and write a Chrome trace
                                   (open in chrome://tracing or Perfetto)
@@ -159,6 +152,25 @@ bool parse_int_flag(const char* flag, const std::string& text, int& out) {
   }
   out = static_cast<int>(v);
   return true;
+}
+
+/// Strict choice flag parsing: the value must be one of `allowed`, so a
+/// typo refuses with a usage hint instead of silently running a default or
+/// failing only once the solve has started.
+bool parse_choice_flag(const char* flag, const std::string& text,
+                       std::initializer_list<const char*> allowed,
+                       std::string& out) {
+  std::string names;
+  for (const char* a : allowed) {
+    if (text == a) {
+      out = text;
+      return true;
+    }
+    names += names.empty() ? a : std::string("|") + a;
+  }
+  std::fprintf(stderr, "%s must be %s, got '%s' (try --help)\n", flag,
+               names.c_str(), text.c_str());
+  return false;
 }
 
 /// Strict floating-point flag parsing, same contract as parse_int_flag().
@@ -196,6 +208,13 @@ std::optional<Options> parse(int argc, char** argv) {
       if (v) ok = ok && parse_double_flag(name, *v, out);
       return v.has_value();
     };
+    const auto choice_flag = [&](const char* name,
+                                 std::initializer_list<const char*> allowed,
+                                 std::string& out) {
+      const auto v = value(name);
+      if (v) ok = ok && parse_choice_flag(name, *v, allowed, out);
+      return v.has_value();
+    };
     if (arg == "--help") {
       usage();
       return std::nullopt;
@@ -210,28 +229,24 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg == "--k-eigenvalue") {
       opt.k_eigenvalue = true;
     } else if (double_flag("--albedo", opt.albedo)) {
-    } else if (auto v = value("--engine")) {
-      opt.engine = *v;
+    } else if (choice_flag("--engine", {"jsweep", "bsp", "serial"},
+                           opt.engine)) {
     } else if (int_flag("--ranks", opt.ranks)) {
     } else if (int_flag("--workers", opt.workers)) {
     } else if (int_flag("--grain", opt.grain)) {
     } else if (int_flag("--patch-cells", opt.patch_cells)) {
-    } else if (auto v = value("--priority")) {
-      opt.priority = *v;
+    } else if (choice_flag("--priority", {"None", "BFS", "LDCP", "SLBD"},
+                           opt.priority)) {
     } else if (arg == "--coarsened") {
       opt.coarsened = true;
-    } else if (auto v = value("--cycle-policy")) {
-      opt.cycle_policy = *v;
+    } else if (choice_flag("--cycle-policy", {"assume", "error", "lag"},
+                           opt.cycle_policy)) {
     } else if (int_flag("--lag-sweeps", opt.lag_sweeps)) {
     } else if (double_flag("--tolerance", opt.tolerance)) {
     } else if (int_flag("--max-iterations", opt.max_iterations)) {
     } else if (arg == "--auto-tune") {
       opt.auto_tune = true;
-    } else if (int_flag("--steal", opt.steal)) {
-    } else if (int_flag("--steal-spin", opt.steal_spin)) {
     } else if (int_flag("--sched-seed", opt.sched_seed)) {
-    } else if (arg == "--no-source-overlap") {
-      opt.no_source_overlap = true;
     } else if (auto v = value("--vtk")) {
       opt.vtk = *v;
     } else if (auto v = value("--trace")) {
@@ -279,17 +294,47 @@ std::optional<Options> parse(int argc, char** argv) {
                  "--auto-tune is not supported with --k-eigenvalue\n");
     return std::nullopt;
   }
-  if (opt.steal < -1 || opt.steal > 1) {
-    std::fprintf(stderr, "--steal must be 0 or 1, got %d (try --help)\n",
-                 opt.steal);
-    return std::nullopt;
-  }
   if (opt.auto_tune && opt.engine != "jsweep") {
     std::fprintf(stderr, "--auto-tune calibrates the data-driven engine; "
                          "use --engine=jsweep\n");
     return std::nullopt;
   }
+  if (opt.auto_tune && (opt.groups <= 1 || opt.group_barrier)) {
+    std::fprintf(stderr, "--auto-tune tunes the group-set width of a "
+                         "pipelined multigroup solve; it needs --groups=G "
+                         "> 1 without --group-barrier\n");
+    return std::nullopt;
+  }
   return opt;
+}
+
+/// The plan knobs the flags set; the caller adds the multigroup table.
+sweep::PlanConfig make_plan_config(const Options& opt) {
+  sweep::PlanConfig pc;
+  pc.cluster_grain = opt.grain;
+  pc.patch_priority = graph::priority_from_string(opt.priority);
+  pc.vertex_priority = pc.patch_priority;
+  pc.cycle_policy = sweep::cycle_policy_from_string(opt.cycle_policy);
+  pc.group_pipelining = !opt.group_barrier;
+  pc.group_set_width = opt.group_set;
+  return pc;
+}
+
+/// The session knobs the flags set (engine runs only, not --engine=serial).
+sweep::SolveConfig make_solve_config(const Options& opt,
+                                     trace::Recorder* recorder,
+                                     metrics::Registry* registry) {
+  sweep::SolveConfig sc;
+  sc.engine = opt.engine == "bsp" ? sweep::EngineKind::Bsp
+                                  : sweep::EngineKind::DataDriven;
+  sc.num_workers = opt.workers;
+  sc.use_coarsened_graph =
+      opt.coarsened && sc.engine == sweep::EngineKind::DataDriven;
+  sc.max_lag_sweeps = std::max(1, opt.lag_sweeps);
+  sc.scheduler_seed = static_cast<std::uint64_t>(opt.sched_seed);
+  sc.trace.recorder = recorder;
+  sc.metrics.registry = registry;
+  return sc;
 }
 
 /// Per-group serial sweep operator honoring the kernel's boundary policy:
@@ -373,36 +418,16 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
   } else {
     comm::Cluster::run(opt.ranks, [&](comm::Context& ctx) {
       sn::MultigroupXs local = xs;  // per-rank writable copy (thread ranks)
-      sweep::PlanConfig plan_config;
-      plan_config.cluster_grain = opt.grain;
-      plan_config.patch_priority = graph::priority_from_string(opt.priority);
-      plan_config.vertex_priority = plan_config.patch_priority;
-      plan_config.cycle_policy =
-          sweep::cycle_policy_from_string(opt.cycle_policy);
+      sweep::PlanConfig plan_config = make_plan_config(opt);
       plan_config.multigroup = &local;
-      plan_config.group_pipelining = !opt.group_barrier;
-      plan_config.group_set_width = opt.group_set;
       const auto owner =
           partition::assign_contiguous(patches.num_patches(), ctx.size());
       const auto plan =
           sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
                                   plan_config);
-      sweep::SolveConfig solve_config;
-      solve_config.engine = opt.engine == "bsp"
-                                ? sweep::EngineKind::Bsp
-                                : sweep::EngineKind::DataDriven;
-      solve_config.num_workers = opt.workers;
-      solve_config.use_coarsened_graph =
-          opt.coarsened && solve_config.engine == sweep::EngineKind::DataDriven;
-      solve_config.max_lag_sweeps = std::max(1, opt.lag_sweeps);
-      solve_config.work_stealing = opt.steal;
-      solve_config.steal_spin_rounds = opt.steal_spin;
-      solve_config.scheduler_seed =
-          static_cast<std::uint64_t>(opt.sched_seed);
-      solve_config.overlap_source_tail = !opt.no_source_overlap;
-      const auto r =
-          sweep::solve_k_eigenvalue(ctx, plan, local, fission, options,
-                                    solve_config);
+      const auto r = sweep::solve_k_eigenvalue(
+          ctx, plan, local, fission, options,
+          make_solve_config(opt, nullptr, nullptr));
       if (ctx.rank().value() == 0) result = r;
     });
   }
@@ -489,15 +514,8 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
         mg);
   } else {
     comm::Cluster::run(opt.ranks, [&](comm::Context& ctx) {
-      sweep::PlanConfig plan_config;
-      plan_config.cluster_grain = opt.grain;
-      plan_config.patch_priority = graph::priority_from_string(opt.priority);
-      plan_config.vertex_priority = plan_config.patch_priority;
-      plan_config.cycle_policy =
-          sweep::cycle_policy_from_string(opt.cycle_policy);
+      sweep::PlanConfig plan_config = make_plan_config(opt);
       plan_config.multigroup = &mxs;
-      plan_config.group_pipelining = !opt.group_barrier;
-      plan_config.group_set_width = opt.group_set;
       const auto owner =
           partition::assign_contiguous(patches.num_patches(), ctx.size());
       const auto builder = [&](const sweep::PlanConfig& pc) {
@@ -514,31 +532,17 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
         // The session derives the width from its (tuned) plan.
         mg_run.group_set_width = 1;
         if (ctx.rank().value() == 0)
-          std::printf("auto-tune: group-set width %d, stealing %s, spin %d "
-                      "(%.3fs grind, %d candidates)\n",
-                      tuned.tuning.group_set_width,
-                      tuned.tuning.work_stealing ? "on" : "off",
-                      tuned.tuning.steal_spin_rounds, tuned.best_seconds,
+          std::printf("auto-tune: group-set width %d (%.3fs grind, %d "
+                      "widths)\n",
+                      tuned.group_set_width, tuned.best_seconds,
                       static_cast<int>(tuned.samples.size()));
       } else {
         plan = builder(plan_config);
       }
-      sweep::SolveConfig solve_config;
-      solve_config.engine = opt.engine == "bsp"
-                                ? sweep::EngineKind::Bsp
-                                : sweep::EngineKind::DataDriven;
-      solve_config.num_workers = opt.workers;
-      solve_config.use_coarsened_graph =
-          opt.coarsened && solve_config.engine == sweep::EngineKind::DataDriven;
-      solve_config.max_lag_sweeps = std::max(1, opt.lag_sweeps);
-      solve_config.work_stealing = opt.steal;
-      solve_config.steal_spin_rounds = opt.steal_spin;
-      solve_config.scheduler_seed =
-          static_cast<std::uint64_t>(opt.sched_seed);
-      solve_config.overlap_source_tail = !opt.no_source_overlap;
-      solve_config.trace.recorder = recorder ? &*recorder : nullptr;
-      solve_config.metrics.registry = registry ? &*registry : nullptr;
-      sweep::SweepSession session(ctx, plan, solve_config);
+      sweep::SweepSession session(
+          ctx, plan,
+          make_solve_config(opt, recorder ? &*recorder : nullptr,
+                            registry ? &*registry : nullptr));
       const auto r = session.solve_multigroup(mg_run);
       if (ctx.rank().value() == 0) {
         result = r;
@@ -636,9 +640,6 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
     std::fprintf(stderr, "note: --metrics needs --engine=jsweep or bsp; "
                          "ignored for the serial sweep\n");
 
-  const sweep::CyclePolicy cycle_policy =
-      sweep::cycle_policy_from_string(opt.cycle_policy);
-
   sn::SourceIterationResult result;
   sweep::SolveStats solver_stats;
   WallTimer timer;
@@ -663,7 +664,7 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
       }
     }
     if constexpr (std::is_same_v<Disc, sn::TetStep>) {
-      if (cycle_policy == sweep::CyclePolicy::Lag) {
+      if (opt.cycle_policy == "lag") {
         // Cycle-aware stateful reference: cuts feedback edges and lags
         // their fluxes exactly like the parallel solver.
         sn::SerialSweeper sweeper(disc, quad);
@@ -688,48 +689,14 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
     }
   } else {
     comm::Cluster::run(opt.ranks, [&](comm::Context& ctx) {
-      sweep::PlanConfig plan_config;
-      plan_config.cluster_grain = opt.grain;
-      plan_config.patch_priority = graph::priority_from_string(opt.priority);
-      plan_config.vertex_priority = plan_config.patch_priority;
-      plan_config.cycle_policy = cycle_policy;
       const auto owner =
           partition::assign_contiguous(patches.num_patches(), ctx.size());
-      const auto builder = [&](const sweep::PlanConfig& pc) {
-        return sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
-                                       pc);
-      };
-      std::shared_ptr<const sweep::SweepPlan> plan;
-      if (opt.auto_tune) {
-        sweep::AutoTuneOptions at;
-        at.num_workers = opt.workers;
-        const auto tuned = sweep::auto_tune(ctx, plan_config, builder, at);
-        plan = tuned.plan;
-        if (ctx.rank().value() == 0)
-          std::printf("auto-tune: stealing %s, spin %d (%.3fs grind, %d "
-                      "candidates)\n",
-                      tuned.tuning.work_stealing ? "on" : "off",
-                      tuned.tuning.steal_spin_rounds, tuned.best_seconds,
-                      static_cast<int>(tuned.samples.size()));
-      } else {
-        plan = builder(plan_config);
-      }
-      sweep::SolveConfig solve_config;
-      solve_config.engine = opt.engine == "bsp"
-                                ? sweep::EngineKind::Bsp
-                                : sweep::EngineKind::DataDriven;
-      solve_config.num_workers = opt.workers;
-      solve_config.use_coarsened_graph =
-          opt.coarsened && solve_config.engine == sweep::EngineKind::DataDriven;
-      solve_config.max_lag_sweeps = std::max(1, opt.lag_sweeps);
-      solve_config.work_stealing = opt.steal;
-      solve_config.steal_spin_rounds = opt.steal_spin;
-      solve_config.scheduler_seed =
-          static_cast<std::uint64_t>(opt.sched_seed);
-      solve_config.overlap_source_tail = !opt.no_source_overlap;
-      solve_config.trace.recorder = recorder ? &*recorder : nullptr;
-      solve_config.metrics.registry = registry ? &*registry : nullptr;
-      sweep::SweepSession session(ctx, plan, solve_config);
+      const auto plan = sweep::SweepPlan::build(
+          ctx, mesh, patches, owner, disc, quad, make_plan_config(opt));
+      sweep::SweepSession session(
+          ctx, plan,
+          make_solve_config(opt, recorder ? &*recorder : nullptr,
+                            registry ? &*registry : nullptr));
       const auto r = sn::source_iteration(xs, session.as_operator(), si);
       if (ctx.rank().value() == 0) {
         result = r;

@@ -1,11 +1,8 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
-#include <limits>
 #include <queue>
 #include <thread>
 
@@ -25,6 +22,9 @@ constexpr std::int64_t kMinTracedIdleNs = 1000;
 /// cheap, short enough that a worker re-scans for stealable work soon even
 /// if it missed a notify aimed at another worker.
 constexpr auto kStealBlockQuantum = std::chrono::microseconds(100);
+
+/// Empty steal-scan rounds an idle worker burns before that timed block.
+constexpr int kStealSpinRounds = 64;
 
 /// Failed try_locks before lock_briefly() blocks: a few microseconds.
 constexpr int kBriefLockSpins = 64;
@@ -58,23 +58,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Environment override for an integer-valued engine knob; returns
-/// `fallback` when the variable is unset or empty. Anything but a whole
-/// decimal int is a CheckError naming the variable, never a silent 0.
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  JSWEEP_CHECK_MSG(errno == 0 && *end == '\0' &&
-                       parsed >= std::numeric_limits<int>::min() &&
-                       parsed <= std::numeric_limits<int>::max(),
-                   "environment variable " << name << "='" << v
-                                           << "' is not an integer");
-  return static_cast<int>(parsed);
 }
 
 }  // namespace
@@ -140,16 +123,6 @@ Engine::Engine(comm::Context& ctx, EngineConfig config)
     : ctx_(ctx), config_(config) {
   JSWEEP_CHECK_MSG(config_.num_workers >= 1,
                    "engine needs at least one worker thread");
-  // Runtime knobs get the final say, so CI and operators can force a
-  // scheduling mode without touching call sites.
-  const int stealing =
-      env_int("JSWEEP_WORK_STEALING", config_.work_stealing ? 1 : 0);
-  JSWEEP_CHECK_MSG(stealing == 0 || stealing == 1,
-                   "environment variable JSWEEP_WORK_STEALING="
-                       << stealing << " must be 0 or 1");
-  config_.work_stealing = stealing == 1;
-  config_.steal_spin_rounds = std::max(
-      0, env_int("JSWEEP_STEAL_SPIN", config_.steal_spin_rounds));
   remote_staging_.resize(static_cast<std::size_t>(ctx_.size()));
   if (metrics::Registry* reg = config_.metrics; reg != nullptr) {
     const metrics::Labels rank{{"rank", std::to_string(ctx_.rank().value())}};
@@ -304,12 +277,12 @@ Engine::ProgramState* Engine::try_steal(Worker& w) {
 }
 
 Engine::ProgramState* Engine::acquire_work(Worker& w) {
-  const bool stealing = config_.work_stealing && workers_.size() > 1;
+  const bool stealing = workers_.size() > 1;
   for (;;) {
     if (stealing) {
       // Bounded spin: scan for stealable work while any queue is
-      // non-empty, up to the configured round budget, then block.
-      for (int round = 0; round < config_.steal_spin_rounds; ++round) {
+      // non-empty, up to kStealSpinRounds rounds, then block.
+      for (int round = 0; round < kStealSpinRounds; ++round) {
         if (w.stop.load(std::memory_order_relaxed)) break;
         if (queued_total_.load(std::memory_order_acquire) > 0) {
           if (ProgramState* ps = try_steal(w)) return ps;

@@ -25,10 +25,11 @@
 /// the final, halted completion re-queues the program (if streams arrived)
 /// or returns it to idle.
 ///
-/// Workers steal: instead of blocking the moment its own queue drains, an
-/// idle worker scans the other workers' queues in a seeded victim order,
-/// takes the highest-priority stealable entry, and only falls back to a
-/// timed block after a bounded number of empty scan rounds. Stealing moves
+/// Workers steal whenever there are two or more: instead of blocking the
+/// moment its own queue drains, an idle worker scans the other workers'
+/// queues in a seeded victim order, takes the highest-priority stealable
+/// entry, and only falls back to a timed block after a fixed number of
+/// empty scan rounds. A lone worker blocks on its own queue. Stealing moves
 /// *scheduling* only — program execution stays bitwise-identical because
 /// flux algebra never depends on which worker ran a program, or when.
 
@@ -81,17 +82,6 @@ struct EngineConfig {
   /// (metrics/metrics.hpp). Null (the default) disables metrics at one
   /// pointer check per update site, mirroring the recorder.
   metrics::Registry* metrics = nullptr;
-  /// Work stealing between this rank's workers: an idle worker scans the
-  /// other queues (seeded victim order) for the highest-priority stealable
-  /// entry instead of blocking immediately. The environment variable
-  /// JSWEEP_WORK_STEALING=0|1, when set, overrides this at construction
-  /// (any other value throws CheckError).
-  bool work_stealing = true;
-  /// Bounded spin: empty steal-scan rounds an idle worker burns before it
-  /// falls back to a timed block on its condition variable. Overridable
-  /// via the JSWEEP_STEAL_SPIN environment variable (a non-integer value
-  /// throws CheckError).
-  int steal_spin_rounds = 64;
   /// Seed for the deterministic scheduling tie-breaks (enqueue-target
   /// rotation and per-worker steal-victim order). Same seed, same inputs
   /// -> same decisions, so traces line up across runs.

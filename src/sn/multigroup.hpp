@@ -16,7 +16,7 @@
 ///     are frozen at the enclosing outer iteration. Because group g+1's
 ///     source is a *cell-local* function of group g's flux, the per-group
 ///     sweeps of one pass can be pipelined per patch — exactly what
-///     sweep::SweepSolver's group-aware engines do. Pure downscatter needs
+///     sweep::SweepSession's group-aware engines do. Pure downscatter needs
 ///     one outer (the pass loop alone converges); upscatter wraps the pass
 ///     loop in an outer Gauss-Seidel that refreshes the frozen sources.
 ///

@@ -11,29 +11,21 @@
 namespace jsweep::sweep {
 namespace {
 
-/// One timed grind of `passes` sweeps/passes on `plan` under `sc`.
-/// Session construction (program install) is excluded — the tuner scores
+/// One timed grind of `passes` multigroup passes on `plan`. Session
+/// construction (program install) is excluded — the tuner scores
 /// steady-state execution, which is what repeated solves pay.
 double grind_once(comm::Context& ctx, std::shared_ptr<const SweepPlan> plan,
                   const SolveConfig& sc, int passes) {
   SweepSession session(ctx, plan, sc);
-  if (plan->config().multigroup != nullptr) {
-    sn::MultigroupOptions mg;
-    // Exactly `passes` passes: zero tolerances defeat early convergence,
-    // one outer keeps upscatter problems from multiplying the work.
-    mg.inner.max_iterations = passes;
-    mg.inner.tolerance = 0.0;
-    mg.max_outer_iterations = 1;
-    mg.outer_tolerance = 0.0;
-    mg.group_set_width = plan->config().group_set_width;
-    WallTimer timer;
-    (void)session.solve_multigroup(mg);
-    return timer.seconds();
-  }
-  const std::vector<double> q(
-      static_cast<std::size_t>(plan->patches().num_cells()), 1.0);
+  sn::MultigroupOptions mg;
+  // Exactly `passes` passes: zero tolerances defeat early convergence, one
+  // outer keeps upscatter problems from multiplying the work.
+  mg.inner.max_iterations = passes;
+  mg.inner.tolerance = 0.0;
+  mg.max_outer_iterations = 1;
+  mg.outer_tolerance = 0.0;
   WallTimer timer;
-  for (int i = 0; i < passes; ++i) (void)session.sweep(q);
+  (void)session.solve_multigroup(mg);
   return timer.seconds();
 }
 
@@ -43,14 +35,11 @@ AutoTuneResult auto_tune(comm::Context& ctx, const PlanConfig& base,
                          const TunePlanBuilder& build,
                          const AutoTuneOptions& options) {
   JSWEEP_CHECK_MSG(build != nullptr, "auto_tune needs a plan builder");
+  JSWEEP_CHECK_MSG(base.multigroup != nullptr && base.group_pipelining,
+                   "auto_tune scans group-set widths; it needs a "
+                   "group-pipelined multigroup PlanConfig");
 
-  // Width axis: only multigroup-pipelined plans have one (the set width is
-  // structural there); everything else scans {1}.
-  const bool width_scan =
-      base.multigroup != nullptr && base.group_pipelining;
-  const int wmax =
-      width_scan ? std::min(base.multigroup->groups(), sn::kMaxGroupSetWidth)
-                 : 1;
+  const int wmax = std::min(base.multigroup->groups(), sn::kMaxGroupSetWidth);
   std::vector<int> widths = options.group_set_widths;
   if (widths.empty()) widths = {1, 2, 4, 8};
   std::vector<int> ws;
@@ -61,58 +50,33 @@ AutoTuneResult auto_tune(comm::Context& ctx, const PlanConfig& base,
   if (ws.empty()) ws.push_back(1);
   std::sort(ws.begin(), ws.end());
 
-  std::vector<int> spins;
-  for (int s : options.spin_rounds)
-    if (s >= 0 && std::find(spins.begin(), spins.end(), s) == spins.end())
-      spins.push_back(s);
-  if (spins.empty()) spins.push_back(64);
-
   const int passes = std::max(1, options.grind_passes);
   const int repeats = std::max(1, options.repeats);
+  SolveConfig sc;
+  sc.num_workers = options.num_workers;
 
   AutoTuneResult result;
-  double best = std::numeric_limits<double>::infinity();
+  result.best_seconds = std::numeric_limits<double>::infinity();
   for (int w : ws) {
     PlanConfig pc = base;
     pc.group_set_width = w;
-    pc.tuning.reset();
     std::shared_ptr<const SweepPlan> plan = build(pc);
     JSWEEP_CHECK_MSG(plan != nullptr, "plan builder returned null");
 
-    std::vector<PlanTuning> candidates;
-    candidates.push_back(PlanTuning{w, /*work_stealing=*/false, 0});
-    for (int spin : spins)
-      candidates.push_back(PlanTuning{w, /*work_stealing=*/true, spin});
-
-    for (const PlanTuning& t : candidates) {
-      SolveConfig sc;
-      sc.num_workers = options.num_workers;
-      sc.work_stealing = t.work_stealing ? 1 : 0;
-      sc.steal_spin_rounds = t.steal_spin_rounds;
-      double secs = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < repeats; ++rep)
-        secs = std::min(secs, grind_once(ctx, plan, sc, passes));
-      // Cluster max: the slowest rank gates a collective solve, and the
-      // shared score keeps every rank picking the same winner.
-      secs = ctx.allreduce_max(secs);
-      result.samples.push_back(AutoTuneSample{t, secs});
-      // Strict < : ties keep the earliest (scan-order-deterministic) pick.
-      if (secs < best) {
-        best = secs;
-        result.tuning = t;
-      }
+    double secs = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < repeats; ++rep)
+      secs = std::min(secs, grind_once(ctx, plan, sc, passes));
+    // Cluster max: the slowest rank gates a collective solve, and the
+    // shared score keeps every rank picking the same winner.
+    secs = ctx.allreduce_max(secs);
+    result.samples.push_back(AutoTuneSample{w, secs});
+    // Strict < : ties keep the smallest (scan-order-deterministic) width.
+    if (secs < result.best_seconds) {
+      result.best_seconds = secs;
+      result.group_set_width = w;
+      result.plan = std::move(plan);
     }
   }
-  result.best_seconds = best;
-
-  // Persist the verdict: the winning plan is rebuilt with config().tuning
-  // set, so every session created from it inherits the calibration via
-  // SolveConfig's "auto" knobs.
-  PlanConfig winner = base;
-  winner.group_set_width = result.tuning.group_set_width;
-  winner.tuning = result.tuning;
-  result.plan = build(winner);
-  JSWEEP_CHECK_MSG(result.plan != nullptr, "plan builder returned null");
   return result;
 }
 

@@ -1,30 +1,23 @@
 #pragma once
 
 /// \file autotune.hpp
-/// Calibration auto-tuner: pick the group-set width and the engine's
-/// steal/spin knobs by *measuring* short grinds on the actual plan instead
-/// of trusting defaults.
+/// Calibration auto-tuner: pick the group-set width by *measuring* short
+/// grinds on the actual plan instead of trusting the default.
 ///
-/// The paper frames aggregation (cluster grain, group sets) and scheduling
-/// rules as the decisive sweep-efficiency levers, but the best point
+/// Aggregation is the sweep-efficiency lever worth tuning (Adams et al.,
+/// "Provably Optimal Parallel Transport Sweeps"): the best group-set width
 /// depends on the machine, the mesh and the partition — exactly the things
 /// a static default cannot see. auto_tune() builds one candidate plan per
-/// group-set width (plans are width-structural, so the caller supplies a
-/// builder), runs a short timed solve grind per (width, stealing, spin)
-/// combination, and returns the fastest combination as a PlanTuning
-/// persisted on a freshly built winning plan (PlanConfig::tuning) — every
-/// session created from that plan inherits the calibration through
-/// SolveConfig's "auto" (-1) knobs.
+/// width (the width is structural, so the caller supplies a builder), runs
+/// a short timed multigroup grind on each, and returns the fastest
+/// candidate plan as built.
 ///
 /// Collective: every rank must call with identical inputs; candidate
 /// timings are allreduce_max'd so all ranks agree on the winner and the
 /// tuned plan stays identical cluster-wide. Deterministic given identical
 /// timings; the measured winner may of course vary run to run — that is
-/// the point. Note the JSWEEP_WORK_STEALING / JSWEEP_STEAL_SPIN
-/// environment overrides outrank SolveConfig inside the engine, so with
-/// either set the corresponding axis of the scan collapses.
+/// the point.
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -36,47 +29,40 @@ namespace jsweep::sweep {
 
 /// Builds the candidate plan for one group-set width. Called collectively
 /// (all ranks, same width sequence); the config passed in is the caller's
-/// base PlanConfig with `group_set_width` (and finally `tuning`) set by
-/// the tuner. Single-group bases are only ever built at width 1.
+/// base PlanConfig with `group_set_width` set by the tuner.
 using TunePlanBuilder = std::function<std::shared_ptr<const SweepPlan>(
     const PlanConfig& config)>;
 
-/// Scan ranges and grind length of one auto_tune() call.
+/// Scan range and grind length of one auto_tune() call.
 struct AutoTuneOptions {
-  /// Candidate group-set widths; empty = {1, 2, 4, 8} clamped to
-  /// [1, min(G, sn::kMaxGroupSetWidth)]. Single-group or non-pipelined
-  /// bases always scan {1} only (width is a multigroup-pipeline knob).
+  /// Candidate group-set widths; empty = {1, 2, 4, 8}. Clamped to
+  /// [1, min(G, sn::kMaxGroupSetWidth)] and scanned ascending.
   std::vector<int> group_set_widths;
-  /// Steal-spin candidates tried with stealing on (stealing off is always
-  /// tried once per width, spin moot).
-  std::vector<int> spin_rounds{16, 64, 256};
   int num_workers = 2;  ///< engine workers of the grind sessions
-  /// Transport sweeps (single-group) or multigroup passes per timed grind.
-  int grind_passes = 3;
+  int grind_passes = 3;  ///< multigroup passes per timed grind
   /// Timed repetitions per candidate; the minimum is scored (absorbs
   /// first-run allocation noise).
   int repeats = 2;
 };
 
-/// One scored candidate of the scan (diagnostics / bench output).
+/// One scored width of the scan (diagnostics / bench output).
 struct AutoTuneSample {
-  PlanTuning tuning;      ///< the candidate's knobs
-  double seconds = 0.0;   ///< best-of-repeats grind time (cluster max)
+  int group_set_width = 1;  ///< the candidate width
+  double seconds = 0.0;     ///< best-of-repeats grind time (cluster max)
 };
 
-/// The tuner's verdict: the winning knobs, the winning plan (rebuilt with
-/// `config().tuning` set so sessions inherit the calibration), and the
+/// The tuner's verdict: the winning width, its candidate plan and the
 /// full scan for reporting.
 struct AutoTuneResult {
-  PlanTuning tuning;  ///< fastest (width, stealing, spin) combination
-  std::shared_ptr<const SweepPlan> plan;  ///< winning plan, tuning persisted
+  int group_set_width = 1;  ///< fastest width (ties keep the smallest)
+  std::shared_ptr<const SweepPlan> plan;  ///< the winning candidate plan
   double best_seconds = 0.0;              ///< winning grind time
-  std::vector<AutoTuneSample> samples;    ///< every candidate, scan order
+  std::vector<AutoTuneSample> samples;    ///< one per width, ascending
 };
 
-/// Run the calibration scan (see the file doc). `base` is the caller's
-/// PlanConfig; its `group_set_width` and `tuning` are overwritten per
-/// candidate. Collective across `ctx`'s cluster.
+/// Run the calibration scan (see the file doc). `base` must be a
+/// group-pipelined multigroup PlanConfig; its `group_set_width` is
+/// overwritten per candidate. Collective across `ctx`'s cluster.
 [[nodiscard]] AutoTuneResult auto_tune(comm::Context& ctx,
                                        const PlanConfig& base,
                                        const TunePlanBuilder& build,

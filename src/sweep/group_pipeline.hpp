@@ -55,13 +55,13 @@
 ///
 /// ## Source-tail overlap
 ///
-/// With enable_source_overlap(), the last completer of (p, s) additionally
-/// precomputes the NEXT pass's base source for the set's own groups on p's
-/// cells — emission density plus the lagged within-set downscatter, both
-/// functions of the φ it just accumulated — into next_pass_q(). That is
-/// exactly the serial per-group formation solve_multigroup_sweeps performs
-/// between passes (sn::MultigroupOptions::q_base_provider), moved onto
-/// workers that would otherwise idle while the sweep's tail drains.
+/// The last completer of (p, s) also precomputes the NEXT pass's base
+/// source for the set's own groups on p's cells — emission density plus
+/// the lagged within-set downscatter, both functions of the φ it just
+/// accumulated — into next_pass_q(). That is exactly the serial per-group
+/// formation solve_multigroup_sweeps performs between passes
+/// (sn::MultigroupOptions::q_base_provider), moved onto workers that would
+/// otherwise idle while the sweep's tail drains.
 /// Bitwise-identical by construction: each rank's local pre-allreduce φ
 /// equals the global φ on its own cells (every other rank contributes
 /// exactly 0.0 and the allreduce folds in rank order), the per-cell
@@ -166,16 +166,10 @@ class GroupPipeline {
     return phi_groups_[static_cast<std::size_t>(g.value())];
   }
 
-  /// Turn on the source-tail overlap (see the file doc): gate completions
-  /// additionally precompute next_pass_q(). Allocates the per-group
-  /// buffers on first call; idempotent.
-  void enable_source_overlap();
-  /// Whether enable_source_overlap() has been called.
-  [[nodiscard]] bool source_overlap_enabled() const { return overlap_; }
-  /// Group g's precomputed next-pass base source (emission + lagged
-  /// within-set downscatter). Valid on this rank's local cells after a
-  /// pass ran with the overlap enabled; all other cells are zero and must
-  /// not be consumed.
+  /// Group g's next-pass base source (emission + lagged within-set
+  /// downscatter), precomputed at gate completions (source-tail overlap,
+  /// see the file doc). Valid on this rank's local cells after a pass;
+  /// all other cells are zero and must not be consumed.
   [[nodiscard]] const std::vector<double>& next_pass_q(GroupId g) const {
     return next_q_[static_cast<std::size_t>(g.value())];
   }
@@ -232,9 +226,8 @@ class GroupPipeline {
   /// Per group, global size (the assembled per-group fluxes).
   std::vector<std::vector<double>> phi_groups_;
   /// Per group, global size: next-pass base sources precomputed at gate
-  /// completions (source-tail overlap; empty until enable_source_overlap).
+  /// completions (source-tail overlap).
   std::vector<std::vector<double>> next_q_;
-  bool overlap_ = false;  ///< next-pass precompute armed
 
   // Live metrics (all null/empty without set_metrics()).
   metrics::Registry* metrics_ = nullptr;

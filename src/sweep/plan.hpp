@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,18 +51,6 @@ enum class CyclePolicy {
 [[nodiscard]] std::string to_string(CyclePolicy p);
 /// Inverse of to_string(CyclePolicy); throws CheckError on unknown names.
 [[nodiscard]] CyclePolicy cycle_policy_from_string(const std::string& name);
-
-/// Calibrated scheduling knobs a plan carries for the sessions executing
-/// it — the auto-tuner's output (sweep/autotune.hpp). Sessions resolve
-/// their SolveConfig's "auto" (-1) knobs against this; explicit SolveConfig
-/// values and the JSWEEP_* environment overrides still win.
-struct PlanTuning {
-  /// Group-set width the tuner selected (informational once the plan is
-  /// built — the width is structural and fixed at build time).
-  int group_set_width = 1;
-  bool work_stealing = true;  ///< steal between engine workers
-  int steal_spin_rounds = 64;  ///< spin budget before a worker blocks
-};
 
 /// The structure-determining knobs of a plan — everything that shapes the
 /// immutable task system. Execution-time knobs (engine choice, workers,
@@ -98,12 +85,6 @@ struct PlanConfig {
   /// the classic per-group system, bitwise unchanged. Requires multigroup;
   /// 1 <= W <= sn::kMaxGroupSetWidth.
   int group_set_width = 1;
-  /// Calibrated scheduling knobs (normally the auto-tuner's pick,
-  /// sweep/autotune.hpp) that sessions resolve their "auto" SolveConfig
-  /// knobs against. Scheduling-only — does not shape the task system, but
-  /// rides on the plan so every session of a tuned plan inherits the
-  /// calibration. nullopt = untuned (engine defaults apply).
-  std::optional<PlanTuning> tuning;
 };
 
 /// One engine-registrable program of the plan: index of its (shared,
@@ -232,9 +213,9 @@ class SweepPlan {
   SweepPlan() = default;
 
   // Shared build core, parameterized over the mesh type via builder
-  // lambdas (same shape the old SweepSolver used). `structure_class` maps
-  // a direction to the class whose angles share task data and patch
-  // priorities (0..7; -1 = per-angle); empty = every angle is its own.
+  // lambdas. `structure_class` maps a direction to the class whose angles
+  // share task data and patch priorities (0..7; -1 = per-angle); empty =
+  // every angle is its own.
   static std::shared_ptr<const SweepPlan> build_impl(
       comm::Context& ctx, std::int64_t mesh_cells,
       const partition::PatchSet& ps, std::vector<RankId> patch_owner,

@@ -14,8 +14,7 @@
 ///
 /// Two modes:
 ///  - **standalone** (the common case): the session owns a core::Engine or
-///    core::BspEngine and sweep()/solve_multigroup() drive it directly —
-///    the old SweepSolver behavior, bitwise identical.
+///    core::BspEngine and sweep()/solve_multigroup() drive it directly.
 ///  - **service-attached**: the session registers its programs into a host
 ///    engine under a request-lane tag offset (lane_task_tag) and exposes
 ///    the begin_sweep()/commit_lagged()/finish_sweep() protocol; the
@@ -78,22 +77,9 @@ struct SolveConfig {
   /// outer source iteration absorbs the lag error).
   int max_lag_sweeps = 1;
   double lag_tolerance = 0.0;  ///< stop the lag loop below this residual
-  /// Work stealing between the data-driven engine's workers: -1 resolves
-  /// plan tuning (PlanConfig::tuning) if present, else the engine default
-  /// (on); 0 forces off; 1 forces on. JSWEEP_WORK_STEALING still has the
-  /// final say (core::EngineConfig).
-  int work_stealing = -1;
-  /// Steal-spin rounds before a worker blocks: -1 resolves plan tuning /
-  /// the engine default (64); >= 0 forces. JSWEEP_STEAL_SPIN overrides.
-  int steal_spin_rounds = -1;
   /// Seed of the engine's deterministic scheduling tie-breaks (owner
   /// assignment rotation, steal-victim order).
   std::uint64_t scheduler_seed = 0;
-  /// Group-pipelined multigroup solves: precompute the next pass's base
-  /// sources on workers while the current sweep's tail drains (the
-  /// source-tail overlap, bitwise-neutral). Off = serial formation
-  /// between passes, the pre-overlap behavior.
-  bool overlap_source_tail = true;
   /// Runtime tracing (off unless a recorder is supplied).
   TraceConfig trace;
   /// Live metrics (off unless a registry is supplied).
@@ -101,8 +87,7 @@ struct SolveConfig {
 };
 
 /// Counters and timings accumulated across a session's lifetime. Cycle
-/// diagnostics and build time are inherited from the plan so the facade's
-/// stats keep their historical meaning.
+/// diagnostics and build time are inherited from the plan.
 struct SolveStats {
   int sweeps = 0;  ///< transport sweeps executed (all groups counted)
   /// Energy groups of the solve (1 unless multigroup).
@@ -221,9 +206,9 @@ class SweepSession {
   SweepSession(comm::Context& ctx, std::shared_ptr<const SweepPlan> plan,
                SolveConfig config, core::Engine* host, int lane);
 
-  /// Resolve the steal/spin/seed knobs into an engine config (explicit
-  /// SolveConfig > plan tuning > engine default; env still overrides).
-  void apply_scheduling(core::EngineConfig& ec) const;
+  /// The data-driven engine config of a standalone session (fine or
+  /// coarsened).
+  [[nodiscard]] core::EngineConfig engine_config() const;
   void install_programs(bool record_clusters);
   void activate_coarsened();
   void collect_phi(std::vector<double>& phi_global) const;
@@ -255,9 +240,9 @@ class SweepSession {
 
   /// Per-session multigroup gate/source coordinator (pipelined plans).
   std::unique_ptr<GroupPipeline> pipeline_;
-  /// Source-tail overlap state: true once a pipelined pass has run with
-  /// the overlap enabled, so the pipeline's next_pass_q() is valid for
-  /// the following pass's q_base formation. Reset per solve.
+  /// Source-tail overlap state: true once a pipelined pass has run, so the
+  /// pipeline's next_pass_q() is valid for the following pass's q_base
+  /// formation. Reset per solve.
   bool next_q_armed_ = false;
   std::vector<std::unique_ptr<std::mutex>> patch_mutex_;  ///< ablation
 

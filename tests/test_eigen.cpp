@@ -3,8 +3,8 @@
 // coupling it rides on. Anchors: the analytic infinite-medium eigenvalue
 // k∞ = νΣ_f / (Σ_t − Σ_s) to 1e-12 on an all-reflecting box, bitwise
 // serial/parallel and cross-engine agreement of k and φ, schedule
-// perturbation (scheduler seeds × work stealing) invariance, and plan
-// reuse across all outer iterations (zero task-graph rebuilds).
+// perturbation (scheduler seed) invariance, and plan reuse across all
+// outer iterations (zero task-graph rebuilds).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@
 #include "sn/serial_sweep.hpp"
 #include "support/check.hpp"
 #include "sweep/eigen.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep {
 namespace {
@@ -178,7 +178,7 @@ sweep::EigenResult run_parallel_eigen(
     const sn::BoundarySpec& bc, int blocks, int ranks,
     const sweep::EigenOptions& options, sweep::EngineKind kind,
     bool pipelined = true, bool coarsened = false,
-    std::uint64_t scheduler_seed = 0, int work_stealing = -1) {
+    std::uint64_t scheduler_seed = 0) {
   sweep::EigenResult out;
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps = make_patches(m, cg, blocks);
@@ -198,9 +198,8 @@ sweep::EigenResult run_parallel_eigen(
     sc.num_workers = 2;
     sc.use_coarsened_graph = coarsened;
     sc.scheduler_seed = scheduler_seed;
-    sc.work_stealing = work_stealing;
     const auto result =
-        sweep::solve_k_eigenvalue(ctx, plan, xs, fission, options);
+        sweep::solve_k_eigenvalue(ctx, plan, xs, fission, options, sc);
     if (ctx.rank().value() == 0) out = result;
   });
   return out;
@@ -250,15 +249,18 @@ TEST(Boundary, ReflectingFixedSourceMatchesSerialReference) {
     for (const int ranks : {1, 2}) {
       std::vector<std::vector<double>> phis;
       comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-        sweep::SolverConfig config;
-        config.engine = kind;
-        config.num_workers = 2;
-        config.cluster_grain = 8;
+        sweep::PlanConfig pc;
+        pc.cluster_grain = 8;
+        sweep::SolveConfig sc;
+        sc.engine = kind;
+        sc.num_workers = 2;
         const auto owner =
             partition::assign_contiguous(ps.num_patches(), ctx.size());
-        sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+        sweep::SweepSession session(
+            ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+            sc);
         std::vector<std::vector<double>> local;
-        for (int k = 0; k < 3; ++k) local.push_back(solver.sweep(q));
+        for (int k = 0; k < 3; ++k) local.push_back(session.sweep(q));
         if (ctx.rank().value() == 0) phis = std::move(local);
       });
       ASSERT_EQ(phis.size(), reference.size());
@@ -448,9 +450,8 @@ TEST(Eigen, CrossEngineKeffBitwise) {
 }
 
 TEST(Eigen, SchedulePerturbationInvariance) {
-  // Eight scheduler seeds × work stealing forced on/off: the eigenvalue
-  // solve (reflecting boundaries, two groups) is bitwise invariant under
-  // every schedule perturbation.
+  // Eight scheduler seeds: the eigenvalue solve (reflecting boundaries,
+  // two groups) is bitwise invariant under every schedule perturbation.
   const mesh::StructuredMesh m = mesh::make_cube_mesh(4, 4.0);
   TwoGroupCore core(m.num_cells());
   sn::BoundarySpec bc;
@@ -464,23 +465,19 @@ TEST(Eigen, SchedulePerturbationInvariance) {
                          sweep::EngineKind::DataDriven);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 5ULL, 8ULL, 13ULL,
                                    21ULL, 0xdeadbeefULL}) {
-    for (const int stealing : {0, 1}) {
-      SCOPED_TRACE(testing::Message()
-                   << "seed " << seed << " stealing " << stealing);
-      expect_bitwise_equal(
-          reference,
-          run_parallel_eigen(m, core.xs, core.fission, quad, bc, 2, 1,
-                             options, sweep::EngineKind::DataDriven,
-                             /*pipelined=*/true, /*coarsened=*/false, seed,
-                             stealing),
-          "perturbed schedule");
-    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_bitwise_equal(
+        reference,
+        run_parallel_eigen(m, core.xs, core.fission, quad, bc, 2, 1, options,
+                           sweep::EngineKind::DataDriven,
+                           /*pipelined=*/true, /*coarsened=*/false, seed),
+        "perturbed schedule");
   }
 }
 
 TEST(Boundary, ReflectingFixedSourceSchedulePerturbationInvariance) {
-  // The same eight-seed × stealing sweep over a fixed-source solve with
-  // reflecting boundaries: three successive sweeps, all bitwise equal.
+  // The same eight-seed sweep over a fixed-source solve with reflecting
+  // boundaries: three successive sweeps, all bitwise equal.
   const mesh::StructuredMesh m = mesh::make_cube_mesh(4, 4.0);
   sn::CellXs xs;
   const auto n = static_cast<std::size_t>(m.num_cells());
@@ -496,33 +493,32 @@ TEST(Boundary, ReflectingFixedSourceSchedulePerturbationInvariance) {
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps = make_patches(m, cg, 2);
 
-  const auto run = [&](std::uint64_t seed, int stealing) {
+  const auto run = [&](std::uint64_t seed) {
     std::vector<std::vector<double>> phis;
     comm::Cluster::run(1, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 8;
-      config.scheduler_seed = seed;
-      config.work_stealing = stealing;
+      sweep::PlanConfig pc;
+      pc.cluster_grain = 8;
+      sweep::SolveConfig sc;
+      sc.num_workers = 2;
+      sc.scheduler_seed = seed;
       const auto owner = partition::assign_contiguous(ps.num_patches(), 1);
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      for (int k = 0; k < 3; ++k) phis.push_back(solver.sweep(q));
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+          sc);
+      for (int k = 0; k < 3; ++k) phis.push_back(session.sweep(q));
     });
     return phis;
   };
 
-  const auto reference = run(0, -1);
+  const auto reference = run(0);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 5ULL, 8ULL, 13ULL,
                                    21ULL, 0xfeedfaceULL}) {
-    for (const int stealing : {0, 1}) {
-      const auto phis = run(seed, stealing);
-      ASSERT_EQ(phis.size(), reference.size());
-      for (std::size_t k = 0; k < reference.size(); ++k)
-        for (std::size_t c = 0; c < reference[k].size(); ++c)
-          ASSERT_EQ(phis[k][c], reference[k][c])
-              << "seed " << seed << " stealing " << stealing << " sweep "
-              << k << " cell " << c;
-    }
+    const auto phis = run(seed);
+    ASSERT_EQ(phis.size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k)
+      for (std::size_t c = 0; c < reference[k].size(); ++c)
+        ASSERT_EQ(phis[k][c], reference[k][c])
+            << "seed " << seed << " sweep " << k << " cell " << c;
   }
 }
 

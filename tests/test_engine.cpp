@@ -4,12 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -482,7 +480,6 @@ TEST(Engine, StealStormEveryProgramExecutesOnce) {
     constexpr int kWorkers = 4;
     constexpr int kPrograms = 256;
     EngineConfig cfg{kWorkers, TerminationMode::KnownWorkload};
-    cfg.steal_spin_rounds = 128;
     cfg.scheduler_seed = 7;
     Engine engine(ctx, cfg);
     TestDagProgram::Log log;
@@ -563,7 +560,6 @@ TEST(Engine, ParallelChainsStreamDeliveryRacesSteals) {
     constexpr int kLen = 9;
     constexpr int kPatches = kChains * kLen;
     EngineConfig cfg{kWorkers, TerminationMode::KnownWorkload};
-    cfg.steal_spin_rounds = 256;
     cfg.scheduler_seed = 42;
     Engine engine(ctx, cfg);
     TestDagProgram::Log log;
@@ -669,7 +665,6 @@ TEST(Engine, StealStormChainedProgramsRunOnce) {
     constexpr int kPrograms = 64;
     constexpr int kLen = 8;
     EngineConfig cfg{kWorkers, TerminationMode::KnownWorkload};
-    cfg.steal_spin_rounds = 128;
     cfg.scheduler_seed = 11;
     Engine engine(ctx, cfg);
     TestDagProgram::Log log;
@@ -733,54 +728,6 @@ TEST(Engine, ChainedPartialOutputsCrossRanks) {
     EXPECT_EQ(c->computes(), kLen);
     EXPECT_EQ(engine.stats().executions, c->computes() + s->computes());
     EXPECT_EQ(engine.stats().streams_remote, kLen);
-  });
-}
-
-/// Sets an environment variable for one scope, then restores it.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
-TEST(Engine, EnvOverridesRejectJunk) {
-  // An atoi-style parse would turn JSWEEP_STEAL_SPIN=abc into 0 and
-  // JSWEEP_WORK_STEALING=yes into "off", silently. Junk must fail loudly,
-  // naming the variable; well-formed values are still accepted.
-  comm::Cluster::run(1, [](comm::Context& ctx) {
-    const EngineConfig cfg{1, TerminationMode::KnownWorkload};
-    const std::pair<const char*, const char*> junk[] = {
-        {"JSWEEP_STEAL_SPIN", "abc"},   {"JSWEEP_STEAL_SPIN", "12x"},
-        {"JSWEEP_STEAL_SPIN", "1e3"},   {"JSWEEP_STEAL_SPIN", "99999999999"},
-        {"JSWEEP_WORK_STEALING", "yes"}, {"JSWEEP_WORK_STEALING", "2"}};
-    for (const auto& [name, value] : junk) {
-      const ScopedEnv env(name, value);
-      try {
-        const Engine engine(ctx, cfg);
-        ADD_FAILURE() << name << "=" << value << " was accepted";
-      } catch (const CheckError& e) {
-        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
-            << e.what();
-      }
-    }
-    const ScopedEnv spin("JSWEEP_STEAL_SPIN", "7");
-    const ScopedEnv stealing("JSWEEP_WORK_STEALING", "0");
-    EXPECT_NO_THROW(Engine(ctx, cfg));
   });
 }
 

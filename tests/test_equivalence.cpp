@@ -24,7 +24,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "support/rng.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep {
 namespace {
@@ -50,17 +50,19 @@ std::vector<std::vector<double>> run_engine(
     sweep::EngineKind kind, bool coarsened, sweep::CyclePolicy policy) {
   std::vector<std::vector<double>> phis;
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.engine = kind;
-    config.num_workers = 2;
-    config.cluster_grain = 8;  // small batches → heavy partial computation
-    config.use_coarsened_graph = coarsened;
-    config.cycle_policy = policy;
+    sweep::PlanConfig pc;
+    pc.cluster_grain = 8;  // small batches → heavy partial computation
+    pc.cycle_policy = policy;
+    sweep::SolveConfig sc;
+    sc.engine = kind;
+    sc.num_workers = 2;
+    sc.use_coarsened_graph = coarsened;
     const auto owner =
         partition::assign_contiguous(ps.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc), sc);
     std::vector<std::vector<double>> local;
-    for (int k = 0; k < kSweeps; ++k) local.push_back(solver.sweep(q));
+    for (int k = 0; k < kSweeps; ++k) local.push_back(session.sweep(q));
     if (ctx.rank().value() == 0) phis = std::move(local);
   });
   return phis;
@@ -256,19 +258,22 @@ TEST(Equivalence, CyclicSourceIterationConverges) {
   for (const auto kind :
        {sweep::EngineKind::DataDriven, sweep::EngineKind::Bsp}) {
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.engine = kind;
-      config.num_workers = 2;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
+      sweep::PlanConfig pc;
+      pc.cycle_policy = sweep::CyclePolicy::Lag;
+      sweep::SolveConfig sc;
+      sc.engine = kind;
+      sc.num_workers = 2;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+          sc);
       const auto result =
-          sn::source_iteration(xs, solver.as_operator(), {1e-6, 200, false});
+          sn::source_iteration(xs, session.as_operator(), {1e-6, 200, false});
       if (ctx.rank().value() == 0) {
         EXPECT_TRUE(result.converged);
-        EXPECT_GT(solver.stats().cyclic_angles, 0);
-        EXPECT_GT(solver.stats().cycles.edges_cut, 0);
+        EXPECT_GT(session.stats().cyclic_angles, 0);
+        EXPECT_GT(session.stats().cycles.edges_cut, 0);
         (kind == sweep::EngineKind::DataDriven ? phi_dd : phi_bsp) =
             result.phi;
       }
@@ -304,20 +309,23 @@ TEST(Equivalence, InnerLagSweepsTightenTheOperator) {
   const auto solve = [&](int lag_sweeps, double* residual) {
     int iterations = 0;
     comm::Cluster::run(1, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
-      config.max_lag_sweeps = lag_sweeps;
-      config.lag_tolerance = 1e-13;
+      sweep::PlanConfig pc;
+      pc.cycle_policy = sweep::CyclePolicy::Lag;
+      sweep::SolveConfig sc;
+      sc.num_workers = 2;
+      sc.max_lag_sweeps = lag_sweeps;
+      sc.lag_tolerance = 1e-13;
       const auto owner = partition::assign_contiguous(ps.num_patches(), 1);
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+          sc);
       const auto result =
-          sn::source_iteration(xs, solver.as_operator(), {1e-8, 300, false});
+          sn::source_iteration(xs, session.as_operator(), {1e-8, 300, false});
       EXPECT_TRUE(result.converged);
       iterations = result.iterations;
-      *residual = solver.stats().last_lag_residual;
+      *residual = session.stats().last_lag_residual;
       if (lag_sweeps > 1) {
-        EXPECT_GT(solver.stats().last_lag_sweeps, 1);
+        EXPECT_GT(session.stats().last_lag_sweeps, 1);
       }
     });
     return iterations;
@@ -344,19 +352,21 @@ std::vector<std::vector<double>> run_multigroup_engine(
     const sn::MultigroupOptions& opts, int set_width = 1) {
   std::vector<std::vector<double>> phi;
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.engine = kind;
-    config.num_workers = 2;
-    config.cluster_grain = 8;  // small batches → heavy partial computation
-    config.multigroup = &xs;
-    config.group_pipelining = pipelined;
-    config.group_set_width = set_width;
-    config.use_coarsened_graph =
+    sweep::PlanConfig pc;
+    pc.cluster_grain = 8;  // small batches → heavy partial computation
+    pc.multigroup = &xs;
+    pc.group_pipelining = pipelined;
+    pc.group_set_width = set_width;
+    sweep::SolveConfig sc;
+    sc.engine = kind;
+    sc.num_workers = 2;
+    sc.use_coarsened_graph =
         coarsened && kind == sweep::EngineKind::DataDriven;
     const auto owner =
         partition::assign_contiguous(ps.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    const auto result = solver.solve_multigroup(opts);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc), sc);
+    const auto result = session.solve_multigroup(opts);
     EXPECT_TRUE(result.converged);
     if (ctx.rank().value() == 0) phi = result.phi;
   });
@@ -456,19 +466,22 @@ TEST(Equivalence, MultigroupCyclicTwistedPipelinedVsBarriered) {
   const auto run = [&](bool pipelined, int max_lag_sweeps) {
     std::vector<std::vector<double>> phi;
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 8;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
-      config.max_lag_sweeps = max_lag_sweeps;
-      config.multigroup = &mxs;
-      config.group_pipelining = pipelined;
+      sweep::PlanConfig pc;
+      pc.cluster_grain = 8;
+      pc.cycle_policy = sweep::CyclePolicy::Lag;
+      pc.multigroup = &mxs;
+      pc.group_pipelining = pipelined;
+      sweep::SolveConfig sc;
+      sc.num_workers = 2;
+      sc.max_lag_sweeps = max_lag_sweeps;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      const auto result = solver.solve_multigroup(opts);
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+          sc);
+      const auto result = session.solve_multigroup(opts);
       EXPECT_TRUE(result.converged);
-      EXPECT_GT(solver.stats().cyclic_angles, 0);
+      EXPECT_GT(session.stats().cyclic_angles, 0);
       if (ctx.rank().value() == 0) phi = result.phi;
     });
     return phi;
@@ -580,19 +593,22 @@ TEST(Equivalence, MultigroupCyclicGroupSetPipelinedVsBarriered) {
   const auto run = [&](bool pipelined) {
     std::vector<std::vector<double>> phi;
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 8;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
-      config.multigroup = &mxs;
-      config.group_pipelining = pipelined;
-      config.group_set_width = 4;
+      sweep::PlanConfig pc;
+      pc.cluster_grain = 8;
+      pc.cycle_policy = sweep::CyclePolicy::Lag;
+      pc.multigroup = &mxs;
+      pc.group_pipelining = pipelined;
+      pc.group_set_width = 4;
+      sweep::SolveConfig sc;
+      sc.num_workers = 2;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      const auto result = solver.solve_multigroup(opts);
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+          sc);
+      const auto result = session.solve_multigroup(opts);
       EXPECT_TRUE(result.converged);
-      EXPECT_GT(solver.stats().cyclic_angles, 0);
+      EXPECT_GT(session.stats().cyclic_angles, 0);
       if (ctx.rank().value() == 0) phi = result.phi;
     });
     return phi;
@@ -612,11 +628,11 @@ TEST(Equivalence, MultigroupCyclicGroupSetPipelinedVsBarriered) {
 // Randomized stress harness: fuzz (mesh family × G × W × boundary
 // condition × engine × rank count × scheduler seed) tuples against the
 // serial references — every engine run must match its reference to 1e-12,
-// and re-running under a different scheduler seed with work stealing
-// flipped must be bitwise identical (schedule perturbations change
-// nothing). Structured draws exercise the reflecting/albedo boundary
-// store; interleaved tet draws exercise the cycle-cut lag path on
-// randomly jittered (vacuum) meshes. Deterministic: one fixed Rng seed.
+// and re-running under a different scheduler seed must be bitwise
+// identical (schedule perturbations change nothing). Structured draws
+// exercise the reflecting/albedo boundary store; interleaved tet draws
+// exercise the cycle-cut lag path on randomly jittered (vacuum) meshes.
+// Deterministic: one fixed Rng seed.
 // ---------------------------------------------------------------------------
 
 TEST(Equivalence, RandomizedBoundaryStressHarness) {
@@ -719,28 +735,30 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
     const std::uint64_t seed_a = rng();
     const std::uint64_t seed_b = rng();
 
-    const auto run = [&](std::uint64_t seed, int stealing) {
+    const auto run = [&](std::uint64_t seed) {
       std::vector<std::vector<double>> phi;
       comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-        sweep::SolverConfig config;
-        config.engine = kind;
-        config.num_workers = 2;
-        config.cluster_grain = 8;
-        config.multigroup = &xs;
-        config.group_pipelining = pipelined;
-        config.group_set_width = W;
-        config.scheduler_seed = seed;
-        config.work_stealing = stealing;
+        sweep::PlanConfig pc;
+        pc.cluster_grain = 8;
+        pc.multigroup = &xs;
+        pc.group_pipelining = pipelined;
+        pc.group_set_width = W;
+        sweep::SolveConfig sc;
+        sc.engine = kind;
+        sc.num_workers = 2;
+        sc.scheduler_seed = seed;
         const auto owner =
             partition::assign_contiguous(ps.num_patches(), ctx.size());
-        sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-        const auto result = solver.solve_multigroup(opts);
+        sweep::SweepSession session(
+            ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc),
+            sc);
+        const auto result = session.solve_multigroup(opts);
         if (ctx.rank().value() == 0) phi = result.phi;
       });
       return phi;
     };
 
-    const auto phi = run(seed_a, -1);
+    const auto phi = run(seed_a);
     ASSERT_EQ(phi.size(), reference.phi.size());
     for (std::size_t g = 0; g < phi.size(); ++g)
       for (std::size_t c = 0; c < phi[g].size(); ++c)
@@ -748,9 +766,9 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
                     kTol * (1.0 + std::abs(reference.phi[g][c])))
             << "group " << g << " cell " << c;
 
-    // Schedule perturbation: a different scheduler seed with work
-    // stealing forced on must be bitwise identical.
-    const auto phi_perturbed = run(seed_b, 1);
+    // Schedule perturbation: a different scheduler seed must be bitwise
+    // identical.
+    const auto phi_perturbed = run(seed_b);
     for (std::size_t g = 0; g < phi.size(); ++g)
       for (std::size_t c = 0; c < phi[g].size(); ++c)
         ASSERT_EQ(phi[g][c], phi_perturbed[g][c])

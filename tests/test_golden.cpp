@@ -32,7 +32,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "sweep/eigen.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 #ifndef JSWEEP_GOLDEN_DIR
 #error "JSWEEP_GOLDEN_DIR must point at tests/golden"
@@ -168,15 +168,17 @@ TEST(Golden, QuickstartParallelSolve) {
 
   sn::SourceIterationResult result;
   comm::Cluster::run(4, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
-    config.cluster_grain = 32;
-    config.use_coarsened_graph = true;
+    sweep::PlanConfig pc;
+    pc.cluster_grain = 32;
+    sweep::SolveConfig sc;
+    sc.use_coarsened_graph = true;
     const auto owner =
         partition::assign_contiguous(patches.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, m, patches, owner, disc, quad, config);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, patches, owner, disc, quad, pc),
+        sc);
     const auto r =
-        sn::source_iteration(xs, solver.as_operator(), {1e-6, 100, false});
+        sn::source_iteration(xs, session.as_operator(), {1e-6, 100, false});
     if (ctx.rank().value() == 0) result = r;
   });
   ASSERT_TRUE(result.converged);

@@ -19,7 +19,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "support/rng.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep {
 namespace {
@@ -58,13 +58,13 @@ TEST(RandomPartitionSweep, JaggedPatchesMatchSerial) {
                                  &cg);
     std::vector<double> phi;
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 4;
+      sweep::PlanConfig pc;
+      pc.cluster_grain = 4;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      const auto result = solver.sweep(q);
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc));
+      const auto result = session.sweep(q);
       if (ctx.rank().value() == 0) phi = result;
     });
     ASSERT_EQ(phi.size(), serial.size());
@@ -89,14 +89,14 @@ TEST(RandomPartitionSweep, ManyExecutionsPerProgram) {
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps(random_partition(m.num_cells(), 4, 3), 4, &cg);
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
-    config.cluster_grain = 1000000;  // unbounded batches
+    sweep::PlanConfig pc;
+    pc.cluster_grain = 1000000;  // unbounded batches
     const auto owner = partition::assign_contiguous(4, 1);
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    (void)solver.sweep(q);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc));
+    (void)session.sweep(q);
     // 4 patches × 8 angles programs, but far more executions.
-    EXPECT_GT(solver.stats().engine.executions, 4 * 8 * 3);
+    EXPECT_GT(session.stats().engine.executions, 4 * 8 * 3);
   });
 }
 
@@ -173,12 +173,11 @@ TEST(SolverVariants, RcbPartitionAndSfcOwnersMatchSerial) {
 
   std::vector<double> phi;
   comm::Cluster::run(3, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
     const auto owner = partition::assign_by_sfc(
         patch_centroids(ps, centroids), ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    const auto result = solver.sweep(q);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad));
+    const auto result = session.sweep(q);
     if (ctx.rank().value() == 0) phi = result;
   });
   for (std::size_t c = 0; c < phi.size(); ++c)
@@ -198,13 +197,13 @@ TEST(SolverVariants, RefinedMeshSolveConverges) {
   const sn::Quadrature quad = sn::Quadrature::level_symmetric(2);
 
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
-    config.use_coarsened_graph = true;
+    sweep::SolveConfig sc;
+    sc.use_coarsened_graph = true;
     const auto owner = partition::assign_contiguous(8, ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad), sc);
     const auto result =
-        sn::source_iteration(xs, solver.as_operator(), {1e-5, 100, false});
+        sn::source_iteration(xs, session.as_operator(), {1e-5, 100, false});
     EXPECT_TRUE(result.converged);
   });
 }

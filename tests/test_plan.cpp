@@ -1,10 +1,10 @@
-// Plan/session lifecycle tests (ctest label `sweep`): the two-phase API
-// must be a pure refactor of the one-shot solver. (a) Sessions sharing one
-// immutable SweepPlan produce bit-identical fluxes to a fresh SweepSolver
-// on structured-Kobayashi and twisted-cyclic meshes; (b) a plan built once
-// and solved many times performs no task-graph construction or face-slot
-// interning after the build (SweepTaskData creation counter + the global
-// operator-new gate, as in test_flux_workspace); (c) threads solving
+// Plan/session lifecycle tests (ctest label `sweep`). (a) Sessions sharing
+// one immutable SweepPlan produce bit-identical fluxes to a session on a
+// freshly built plan, on structured-Kobayashi and twisted-cyclic meshes;
+// (b) a plan built once and solved many times performs no task-graph
+// construction or face-slot interning after the build (SweepTaskData
+// creation counter + the global operator-new gate, as in
+// test_flux_workspace); (c) threads solving
 // concurrently against one shared plan match the serial result to 1e-12;
 // (d) SweepService-batched solves reproduce standalone source iteration
 // bitwise, including on cut meshes; (e) malformed plan inputs throw
@@ -12,7 +12,8 @@
 // plans build task data once per (patch, octant) — per angle only on tet
 // meshes and for boundary-coupled patches — while every (patch, angle,
 // group) program survives and sessions stay bitwise equal to the serial
-// sweep.
+// sweep; (g) auto_tune scans the group-set widths and returns a plan that
+// solves bitwise like a hand-built one at the winning width.
 //
 // This binary owns the global operator new/delete replacement
 // (support/alloc_counter.hpp) — include it from exactly one TU per binary.
@@ -36,8 +37,8 @@
 #include "sn/source_iteration.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/check.hpp"
+#include "sweep/autotune.hpp"
 #include "sweep/service.hpp"
-#include "sweep/solver.hpp"
 
 namespace jsweep {
 namespace {
@@ -95,7 +96,7 @@ struct CyclicCase {
 };
 
 // ---------------------------------------------------------------------------
-// (a) Shared-plan sessions are bitwise identical to the legacy facade.
+// (a) Shared-plan sessions are bitwise identical to a fresh plan + session.
 // ---------------------------------------------------------------------------
 
 TEST(PlanSharing, TwoSessionsMatchFreshSolverStructured) {
@@ -104,12 +105,11 @@ TEST(PlanSharing, TwoSessionsMatchFreshSolverStructured) {
   constexpr int kSweeps = 3;
 
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    sweep::SolverConfig legacy_config;
-    legacy_config.num_workers = 2;
-    sweep::SweepSolver solver(ctx, tc.m, tc.ps, tc.owner, tc.disc, tc.quad,
-                              legacy_config);
+    sweep::SweepSession fresh(ctx, sweep::SweepPlan::build(
+                                       ctx, tc.m, tc.ps, tc.owner, tc.disc,
+                                       tc.quad));
     std::vector<std::vector<double>> reference;
-    for (int k = 0; k < kSweeps; ++k) reference.push_back(solver.sweep(q));
+    for (int k = 0; k < kSweeps; ++k) reference.push_back(fresh.sweep(q));
 
     const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
                                               tc.disc, tc.quad);
@@ -133,21 +133,19 @@ TEST(PlanSharing, TwoSessionsMatchFreshSolverTwistedCyclic) {
   constexpr int kSweeps = 3;  // lag state evolves sweep to sweep
 
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    sweep::SolverConfig legacy_config;
-    legacy_config.num_workers = 2;
-    legacy_config.cycle_policy = sweep::CyclePolicy::Lag;
-    sweep::SweepSolver solver(ctx, tc.m, tc.ps, tc.owner, tc.disc, tc.quad,
-                              legacy_config);
-    std::vector<std::vector<double>> reference;
-    for (int k = 0; k < kSweeps; ++k) reference.push_back(solver.sweep(q));
-
     sweep::PlanConfig pc;
     pc.cycle_policy = sweep::CyclePolicy::Lag;
+    sweep::SweepSession fresh(ctx, sweep::SweepPlan::build(
+                                       ctx, tc.m, tc.ps, tc.owner, tc.disc,
+                                       tc.quad, pc));
+    std::vector<std::vector<double>> reference;
+    for (int k = 0; k < kSweeps; ++k) reference.push_back(fresh.sweep(q));
+
     const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
                                               tc.disc, tc.quad, pc);
     ASSERT_TRUE(plan->has_cycles());
     // Each session copies the plan's zeroed lagged template, so both start
-    // from the vacuum iterate and must track the fresh solver sweep by
+    // from the vacuum iterate and must track the fresh session sweep by
     // sweep even as their (independent) lagged stores evolve.
     sweep::SweepSession s1(ctx, plan);
     sweep::SweepSession s2(ctx, plan);
@@ -588,6 +586,53 @@ TEST(StructureSharing, SessionsMatchSerialSweepBitwise) {
       });
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// (g) auto_tune: one sample per width, the returned plan carries the
+// reported width and solves bitwise like a hand-built plan at that width.
+// Which width wins is a measurement, so it is not asserted.
+// ---------------------------------------------------------------------------
+
+TEST(AutoTune, ReturnsTheWinningWidthsPlan) {
+  const StructuredCase tc;
+  constexpr int kGroups = 4;
+  const sn::MultigroupXs xs = sn::MultigroupXs::cascade(
+      sn::MaterialTable::kobayashi(), tc.m.materials(), tc.m.num_cells(),
+      kGroups);
+  const sn::StructuredDD disc(tc.m, xs.group_view(0));
+  sn::MultigroupOptions mg;
+  mg.inner = {1e-8, 20, false};
+
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    sweep::PlanConfig base;
+    base.multigroup = &xs;
+    const auto build = [&](const sweep::PlanConfig& pc) {
+      return sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner, disc,
+                                     tc.quad, pc);
+    };
+    sweep::AutoTuneOptions at;
+    at.group_set_widths = {1, 2};
+    at.grind_passes = 1;
+    at.repeats = 1;
+    const auto tuned = sweep::auto_tune(ctx, base, build, at);
+
+    ASSERT_EQ(tuned.samples.size(), 2U);
+    EXPECT_EQ(tuned.samples[0].group_set_width, 1);
+    EXPECT_EQ(tuned.samples[1].group_set_width, 2);
+    for (const auto& sample : tuned.samples) EXPECT_GT(sample.seconds, 0.0);
+    ASSERT_NE(tuned.plan, nullptr);
+    EXPECT_EQ(tuned.plan->config().group_set_width, tuned.group_set_width);
+
+    sweep::PlanConfig by_hand = base;
+    by_hand.group_set_width = tuned.group_set_width;
+    sweep::SweepSession tuned_session(ctx, tuned.plan);
+    sweep::SweepSession hand_session(ctx, build(by_hand));
+    const auto got = tuned_session.solve_multigroup(mg);
+    const auto want = hand_session.solve_multigroup(mg);
+    EXPECT_EQ(got.pass_iterations, want.pass_iterations);
+    EXPECT_EQ(got.phi, want.phi);
+  });
 }
 
 }  // namespace

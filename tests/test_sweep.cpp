@@ -23,7 +23,7 @@
 #include "sn/source_iteration.hpp"
 #include "support/rng.hpp"
 #include "sweep/kba.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 #include "sweep/sweep_data.hpp"
 
 namespace jsweep::sweep {
@@ -147,17 +147,22 @@ struct BallCase {
   std::vector<double> q;
 };
 
+/// One parallel sweep of `cs` on a session over a freshly built plan.
 template <class Case>
 std::vector<double> run_parallel(const Case& cs, int ranks,
-                                 SolverConfig config) {
+                                 const PlanConfig& pc = {},
+                                 const SolveConfig& sc = {}) {
   std::vector<double> result;
   std::mutex result_mutex;
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
     const auto owner = partition::assign_contiguous(
         cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       config);
-    const auto phi = solver.sweep(cs.q);
+    SweepSession session(
+        ctx,
+        SweepPlan::build(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
+                         pc),
+        sc);
+    const auto phi = session.sweep(cs.q);
     if (ctx.rank().value() == 0) {
       const std::lock_guard<std::mutex> lock(result_mutex);
       result = phi;
@@ -323,38 +328,38 @@ TEST(SweepTaskData, UnknownRemoteInFaceThrows) {
 
 TEST(SweepStructured, MatchesSerialSingleRank) {
   const StructuredCase cs;
-  expect_equal(run_parallel(cs, 1, {}), cs.serial());
+  expect_equal(run_parallel(cs, 1), cs.serial());
 }
 
 TEST(SweepStructured, MatchesSerialMultiRank) {
   const StructuredCase cs;
-  SolverConfig cfg;
-  cfg.num_workers = 3;
-  expect_equal(run_parallel(cs, 4, cfg), cs.serial());
+  SolveConfig sc;
+  sc.num_workers = 3;
+  expect_equal(run_parallel(cs, 4, {}, sc), cs.serial());
 }
 
 TEST(SweepBall, MatchesSerialSingleRank) {
   const BallCase cs;
-  expect_equal(run_parallel(cs, 1, {}), cs.serial());
+  expect_equal(run_parallel(cs, 1), cs.serial());
 }
 
 TEST(SweepBall, MatchesSerialMultiRank) {
   const BallCase cs;
-  SolverConfig cfg;
-  cfg.num_workers = 2;
-  expect_equal(run_parallel(cs, 3, cfg), cs.serial());
+  SolveConfig sc;
+  sc.num_workers = 2;
+  expect_equal(run_parallel(cs, 3, {}, sc), cs.serial());
 }
 
 // The result must be bitwise identical whatever the parallel configuration:
 // the DAG fixes every operand and the reduction order is fixed.
 TEST(SweepDeterminism, BitwiseIdenticalAcrossConfigurations) {
   const BallCase cs;
-  const auto base = run_parallel(cs, 1, {});
+  const auto base = run_parallel(cs, 1);
   for (const int ranks : {2, 4}) {
     for (const int workers : {1, 3}) {
-      SolverConfig cfg;
-      cfg.num_workers = workers;
-      const auto phi = run_parallel(cs, ranks, cfg);
+      SolveConfig sc;
+      sc.num_workers = workers;
+      const auto phi = run_parallel(cs, ranks, {}, sc);
       ASSERT_EQ(phi.size(), base.size());
       for (std::size_t i = 0; i < phi.size(); ++i)
         ASSERT_EQ(phi[i], base[i])
@@ -374,10 +379,10 @@ class SweepPriorities : public ::testing::TestWithParam<PriorityPair> {};
 
 TEST_P(SweepPriorities, AllStrategiesMatchSerial) {
   const StructuredCase cs;
-  SolverConfig cfg;
-  cfg.patch_priority = GetParam().first;
-  cfg.vertex_priority = GetParam().second;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  PlanConfig pc;
+  pc.patch_priority = GetParam().first;
+  pc.vertex_priority = GetParam().second;
+  expect_equal(run_parallel(cs, 2, pc), cs.serial());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -400,9 +405,9 @@ class SweepGrain : public ::testing::TestWithParam<int> {};
 
 TEST_P(SweepGrain, AllClusterGrainsMatchSerial) {
   const BallCase cs;
-  SolverConfig cfg;
-  cfg.cluster_grain = GetParam();
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  PlanConfig pc;
+  pc.cluster_grain = GetParam();
+  expect_equal(run_parallel(cs, 2, pc), cs.serial());
 }
 
 INSTANTIATE_TEST_SUITE_P(Grains, SweepGrain,
@@ -410,10 +415,11 @@ INSTANTIATE_TEST_SUITE_P(Grains, SweepGrain,
 
 TEST(SweepAblation, PatchSerializedStillCorrect) {
   const StructuredCase cs;
-  SolverConfig cfg;
-  cfg.patch_angle_parallelism = false;
-  cfg.num_workers = 3;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  PlanConfig pc;
+  pc.patch_angle_parallelism = false;
+  SolveConfig sc;
+  sc.num_workers = 3;
+  expect_equal(run_parallel(cs, 2, pc, sc), cs.serial());
 }
 
 // ---------------------------------------------------------------------------
@@ -422,17 +428,17 @@ TEST(SweepAblation, PatchSerializedStillCorrect) {
 
 TEST(SweepBsp, MatchesSerial) {
   const StructuredCase cs;
-  SolverConfig cfg;
-  cfg.engine = EngineKind::Bsp;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  SolveConfig sc;
+  sc.engine = EngineKind::Bsp;
+  expect_equal(run_parallel(cs, 2, {}, sc), cs.serial());
 }
 
 TEST(SweepBsp, BallMatchesSerial) {
   const BallCase cs;
-  SolverConfig cfg;
-  cfg.engine = EngineKind::Bsp;
-  cfg.num_workers = 2;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  SolveConfig sc;
+  sc.engine = EngineKind::Bsp;
+  sc.num_workers = 2;
+  expect_equal(run_parallel(cs, 2, {}, sc), cs.serial());
 }
 
 TEST(SweepBsp, DataDrivenUsesFewerGlobalSyncs) {
@@ -441,15 +447,17 @@ TEST(SweepBsp, DataDrivenUsesFewerGlobalSyncs) {
   const StructuredCase cs;
   std::atomic<std::int64_t> supersteps{0};
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.engine = EngineKind::Bsp;
+    SolveConfig sc;
+    sc.engine = EngineKind::Bsp;
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    (void)solver.sweep(cs.q);
+    SweepSession session(
+        ctx,
+        SweepPlan::build(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad),
+        sc);
+    (void)session.sweep(cs.q);
     if (ctx.rank().value() == 0)
-      supersteps.store(solver.stats().bsp.supersteps);
+      supersteps.store(session.stats().bsp.supersteps);
   });
   EXPECT_GT(supersteps.load(), 3);
 }
@@ -464,16 +472,18 @@ TEST(SweepCoarsened, SecondSweepMatchesFirst) {
   std::vector<double> second;
   std::vector<double> third;
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.use_coarsened_graph = true;
-    cfg.num_workers = 2;
+    SolveConfig sc;
+    sc.use_coarsened_graph = true;
+    sc.num_workers = 2;
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    const auto phi1 = solver.sweep(cs.q);  // DAG sweep, records clusters
-    const auto phi2 = solver.sweep(cs.q);  // coarsened replay
-    const auto phi3 = solver.sweep(cs.q);  // reusable across iterations
+    SweepSession session(
+        ctx,
+        SweepPlan::build(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad),
+        sc);
+    const auto phi1 = session.sweep(cs.q);  // DAG sweep, records clusters
+    const auto phi2 = session.sweep(cs.q);  // coarsened replay
+    const auto phi3 = session.sweep(cs.q);  // reusable across iterations
     if (ctx.rank().value() == 0) {
       first = phi1;
       second = phi2;
@@ -489,15 +499,18 @@ TEST(SweepCoarsened, StructuredMatchesSerial) {
   const StructuredCase cs;
   std::vector<double> coarse_phi;
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.use_coarsened_graph = true;
-    cfg.cluster_grain = 4;
+    PlanConfig pc;
+    pc.cluster_grain = 4;
+    SolveConfig sc;
+    sc.use_coarsened_graph = true;
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    (void)solver.sweep(cs.q);
-    const auto phi = solver.sweep(cs.q);
+    SweepSession session(ctx,
+                         SweepPlan::build(ctx, cs.mesh, cs.patches, owner,
+                                          cs.disc, cs.quad, pc),
+                         sc);
+    (void)session.sweep(cs.q);
+    const auto phi = session.sweep(cs.q);
     if (ctx.rank().value() == 0) coarse_phi = phi;
   });
   expect_equal(coarse_phi, cs.serial());
@@ -545,14 +558,16 @@ TEST(SweepSourceIteration, ParallelSolveMatchesSerialSolve) {
   std::vector<double> parallel_phi;
   int parallel_iters = 0;
   comm::Cluster::run(3, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.use_coarsened_graph = true;  // iterations 2+ on CG
+    SolveConfig sc;
+    sc.use_coarsened_graph = true;  // iterations 2+ on CG
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    const auto result =
-        sn::source_iteration(cs.xs, solver.as_operator(), {1e-7, 100, false});
+    SweepSession session(
+        ctx,
+        SweepPlan::build(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad),
+        sc);
+    const auto result = sn::source_iteration(cs.xs, session.as_operator(),
+                                             {1e-7, 100, false});
     EXPECT_TRUE(result.converged);
     if (ctx.rank().value() == 0) {
       parallel_phi = result.phi;
@@ -566,14 +581,15 @@ TEST(SweepSourceIteration, ParallelSolveMatchesSerialSolve) {
 TEST(SweepStats, EngineCountsLookSane) {
   const StructuredCase cs;
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.cluster_grain = 4;
+    PlanConfig pc;
+    pc.cluster_grain = 4;
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    (void)solver.sweep(cs.q);
-    const auto& st = solver.stats().engine;
+    SweepSession session(ctx,
+                         SweepPlan::build(ctx, cs.mesh, cs.patches, owner,
+                                          cs.disc, cs.quad, pc));
+    (void)session.sweep(cs.q);
+    const auto& st = session.stats().engine;
     // 8 angles × 32 local patches, at least one execution each.
     EXPECT_GE(st.executions, 8 * 32);
     EXPECT_GT(st.streams_remote + st.streams_local, 0);
