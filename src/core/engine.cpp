@@ -308,7 +308,7 @@ Engine::ProgramState* Engine::acquire_work(Worker& w) {
   }
 }
 
-void Engine::worker_loop(Worker& w) {
+void Engine::worker_loop(Worker& w, const WallTimer& launched) {
   trace::Recorder* const rec = config_.recorder;
   trace::Track* const tr =
       rec != nullptr ? &rec->track(ctx_.rank().value(), w.id) : nullptr;
@@ -316,7 +316,12 @@ void Engine::worker_loop(Worker& w) {
   // buckets — idle while hunting for work (steal scans, bounded spins and
   // blocked waits all count as idle), busy otherwise (execution plus
   // queue/completion bookkeeping) — so that
-  // busy + idle ≈ elapsed × num_workers holds for EngineStats.
+  // busy + idle ≈ elapsed × num_workers holds for EngineStats. Waiting for
+  // the OS to start this thread is idle too: on a loaded host it can take
+  // longer than a short run's whole busy time.
+  const double start_delay = launched.seconds();
+  w.idle_seconds += start_delay;
+  if (metric_worker_idle_ != nullptr) metric_worker_idle_->add(start_delay);
   WallTimer timer;
   for (;;) {
     ProgramState* ps = nullptr;
@@ -593,8 +598,10 @@ void Engine::run() {
     workers_.back()->rng =
         mix64(config_.scheduler_seed ^ (static_cast<std::uint64_t>(i) + 1));
   }
+  const WallTimer launched;
   for (auto& w : workers_)
-    w->thread = std::thread([this, &w = *w] { worker_loop(w); });
+    w->thread = std::thread(
+        [this, &w = *w, &launched] { worker_loop(w, launched); });
 
   // Queue the initially-active programs, highest priority first so worker
   // queues start in priority order.

@@ -161,7 +161,8 @@ class Engine {
   struct Worker;
   struct Completion;
 
-  void worker_loop(Worker& w);
+  /// `launched` started just before the worker threads were spawned.
+  void worker_loop(Worker& w, const WallTimer& launched);
   void master_loop(comm::SafraDetector* det, IntervalAccumulator& route_time);
   Completion execute(ProgramState& ps);
   ProgramState* take_local(Worker& w);  ///< pop own top (w.mutex held)

@@ -441,8 +441,8 @@ class SpinRelayProgram final : public PatchProgram {
 TEST(Engine, BusyIdleAccountingCoversElapsed) {
   // Regression test for EngineStats time accounting: every instant of a
   // worker's loop lifetime is charged to busy or idle, so
-  // busy + idle ≈ elapsed × num_workers — the only unaccounted windows
-  // are thread spawn/join. The serial chain keeps one of the two workers
+  // busy + idle ≈ elapsed × num_workers — the only unaccounted window is
+  // the thread join. The serial chain keeps one of the two workers
   // idle, so missing idle accounting would show up as a large deficit.
   comm::Cluster::run(1, [](comm::Context& ctx) {
     constexpr int kWorkers = 2;
