@@ -239,26 +239,18 @@ MultigroupResult solve_multigroup_sweeps(const MultigroupXs& xs,
     for (int it = 0; it < options.inner.max_iterations; ++it) {
       for (int g = 0; g < G; ++g) {
         auto& q = q_base[static_cast<std::size_t>(g)];
-        // Source-tail overlap: a provider that precomputed this group's
-        // emission + lagged within-set downscatter during the previous
-        // pass supersedes the serial formation below (bitwise-identical
-        // by contract; see MultigroupOptions::q_base_provider).
-        const bool provided =
-            options.q_base_provider && options.q_base_provider(g, q);
-        if (!provided) {
-          q = emission_density(views[static_cast<std::size_t>(g)],
-                               result.phi[static_cast<std::size_t>(g)]);
-          // Within-set downscatter, lagged one pass (previous pass's φ):
-          // the set's groups sweep together, so they cannot see each
-          // other's fresh flux. Empty at W == 1 — the classic scheme is
-          // untouched bitwise. `from` ascends, matching inscatter_term's
-          // accumulation-order contract.
-          for (int from = group_set_base(g, W); from < g; ++from) {
-            const auto& pf = result.phi[static_cast<std::size_t>(from)];
-            for (std::int64_t c = 0; c < n; ++c)
-              q[static_cast<std::size_t>(c)] += inscatter_term(
-                  xs, from, g, c, pf[static_cast<std::size_t>(c)]);
-          }
+        q = emission_density(views[static_cast<std::size_t>(g)],
+                             result.phi[static_cast<std::size_t>(g)]);
+        // Within-set downscatter, lagged one pass (previous pass's φ): the
+        // set's groups sweep together, so they cannot see each other's
+        // fresh flux. Empty at W == 1 — the classic scheme is untouched
+        // bitwise. `from` ascends, matching inscatter_term's
+        // accumulation-order contract.
+        for (int from = group_set_base(g, W); from < g; ++from) {
+          const auto& pf = result.phi[static_cast<std::size_t>(from)];
+          for (std::int64_t c = 0; c < n; ++c)
+            q[static_cast<std::size_t>(c)] += inscatter_term(
+                xs, from, g, c, pf[static_cast<std::size_t>(c)]);
         }
         if (upscatter) {
           for (int from = g + 1; from < G; ++from) {

@@ -133,17 +133,6 @@ struct MultigroupOptions {
   /// classic per-group scheme, bitwise unchanged. Both fixed points agree;
   /// the pass loop absorbs the within-set lag.
   int group_set_width = 1;
-  /// Optional source-tail-overlap hook of solve_multigroup_sweeps: when
-  /// set and the call returns true for group g, the callee has filled `q`
-  /// with group g's emission density AND its lagged within-set downscatter
-  /// — the serial formation of both is skipped (the frozen upscatter part
-  /// is still added by the solver). A parallel pass implementation uses
-  /// this to precompute next-pass sources on otherwise-idle workers while
-  /// the current sweep's tail drains; the supplied values must be
-  /// bitwise-identical to the serial formation on every cell the pass
-  /// reads. Returning false falls back to the serial formation (e.g. on
-  /// the first pass, when no precomputed source exists yet).
-  std::function<bool(int group, std::vector<double>& q)> q_base_provider;
 };
 
 /// First group of the set containing group g at set width `width`.

@@ -52,7 +52,6 @@ GroupPipeline::GroupPipeline(
   phi_groups_.assign(
       static_cast<std::size_t>(xs_.groups()),
       std::vector<double>(static_cast<std::size_t>(ps_.num_cells()), 0.0));
-  next_q_ = phi_groups_;
 }
 
 std::size_t GroupPipeline::local_index(PatchId p) const {
@@ -158,27 +157,6 @@ void GroupPipeline::on_program_complete(PatchId p, GroupId set,
         phi_groups_[static_cast<std::size_t>(base + l)][c] +=
             (*phi_local)[v * static_cast<std::size_t>(ws) +
                          static_cast<std::size_t>(l)];
-    }
-  }
-  // 1b. Source-tail overlap: the NEXT pass's base source for this set's
-  //     own groups on p's cells — emission density plus the lagged
-  //     within-set downscatter, both functions of the φ accumulated above.
-  //     Assignment-then-accumulate per cell keeps lag-loop repeats
-  //     idempotent (the last engine run's φ — the committed one — wins).
-  //     The per-cell order (emission, then `from` ascending) matches the
-  //     serial formation in solve_multigroup_sweeps bitwise.
-  for (int l = 0; l < ws; ++l) {
-    const int g = base + l;
-    auto& nq = next_q_[static_cast<std::size_t>(g)];
-    const auto& phi_g = phi_groups_[static_cast<std::size_t>(g)];
-    for (std::size_t v = 0; v < cells.size(); ++v) {
-      const std::int64_t c = cells[v].value();
-      const auto ci = static_cast<std::size_t>(c);
-      nq[ci] = (xs_.sigma_s(g, g, c) * phi_g[ci] + xs_.source(g, c)) *
-               sn::kInvFourPi;
-      for (int from = base; from < g; ++from)
-        nq[ci] += sn::inscatter_term(
-            xs_, from, g, c, phi_groups_[static_cast<std::size_t>(from)][ci]);
     }
   }
   if (sv + 1 >= num_sets_) return;

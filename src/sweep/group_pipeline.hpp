@@ -52,21 +52,6 @@
 ///
 /// One pass = begin_pass(q_base) → one engine run → collect per-group φ
 /// (each rank contributes its local patches; the solver allreduces).
-///
-/// ## Source-tail overlap
-///
-/// The last completer of (p, s) also precomputes the NEXT pass's base
-/// source for the set's own groups on p's cells — emission density plus
-/// the lagged within-set downscatter, both functions of the φ it just
-/// accumulated — into next_pass_q(). That is exactly the serial per-group
-/// formation solve_multigroup_sweeps performs between passes
-/// (sn::MultigroupOptions::q_base_provider), moved onto workers that would
-/// otherwise idle while the sweep's tail drains.
-/// Bitwise-identical by construction: each rank's local pre-allreduce φ
-/// equals the global φ on its own cells (every other rank contributes
-/// exactly 0.0 and the allreduce folds in rank order), the per-cell
-/// accumulation order (emission, then `from` ascending) matches the serial
-/// loop, and only locally-owned cells of next_pass_q() are ever consumed.
 
 #include <algorithm>
 #include <atomic>
@@ -166,14 +151,6 @@ class GroupPipeline {
     return phi_groups_[static_cast<std::size_t>(g.value())];
   }
 
-  /// Group g's next-pass base source (emission + lagged within-set
-  /// downscatter), precomputed at gate completions (source-tail overlap,
-  /// see the file doc). Valid on this rank's local cells after a pass;
-  /// all other cells are zero and must not be consumed.
-  [[nodiscard]] const std::vector<double>& next_pass_q(GroupId g) const {
-    return next_q_[static_cast<std::size_t>(g.value())];
-  }
-
   /// Observability (optional): publish live `jsweep_pipeline_*` metrics —
   /// pass counts, activation-stream counts, the emit→gate-open latency
   /// histogram and per-set first-open / pipeline-fill times — into
@@ -225,9 +202,6 @@ class GroupPipeline {
   std::vector<std::vector<double>> sigma_t_sets_;
   /// Per group, global size (the assembled per-group fluxes).
   std::vector<std::vector<double>> phi_groups_;
-  /// Per group, global size: next-pass base sources precomputed at gate
-  /// completions (source-tail overlap).
-  std::vector<std::vector<double>> next_q_;
 
   // Live metrics (all null/empty without set_metrics()).
   metrics::Registry* metrics_ = nullptr;

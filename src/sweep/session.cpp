@@ -429,10 +429,6 @@ void SweepSession::multigroup_pass(
       phi[static_cast<std::size_t>(g)] = pipeline_->phi_group(GroupId{g});
       ctx_.allreduce_sum(phi[static_cast<std::size_t>(g)]);
     }
-    // The gate completions of this pass precomputed the next pass's base
-    // sources (source-tail overlap) — arm the q_base provider for the
-    // solver's next formation step.
-    next_q_armed_ = true;
   }
   // After the first recorded pass, replay on the coarsened graph.
   if (config_.use_coarsened_graph && !coarsened_active_ && engine_)
@@ -468,16 +464,6 @@ sn::MultigroupResult SweepSession::solve_multigroup(
           << " — the session derives the width from its plan");
   sn::MultigroupOptions opts = options;
   opts.group_set_width = plan_->config().group_set_width;
-  // Source-tail overlap: serve precomputed q_base parts once a pipelined
-  // pass has run (the first pass of a solve always forms serially).
-  next_q_armed_ = false;
-  if (pipeline_ != nullptr && options.q_base_provider == nullptr) {
-    opts.q_base_provider = [this](int g, std::vector<double>& q) {
-      if (!next_q_armed_) return false;
-      q = pipeline_->next_pass_q(GroupId{g});
-      return true;
-    };
-  }
   return sn::solve_multigroup_sweeps(
       *plan_->config().multigroup,
       [this](const std::vector<std::vector<double>>& q_base,

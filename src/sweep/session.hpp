@@ -240,10 +240,6 @@ class SweepSession {
 
   /// Per-session multigroup gate/source coordinator (pipelined plans).
   std::unique_ptr<GroupPipeline> pipeline_;
-  /// Source-tail overlap state: true once a pipelined pass has run, so the
-  /// pipeline's next_pass_q() is valid for the following pass's q_base
-  /// formation. Reset per solve.
-  bool next_q_armed_ = false;
   std::vector<std::unique_ptr<std::mutex>> patch_mutex_;  ///< ablation
 
   std::unique_ptr<core::Engine> engine_;
