@@ -22,6 +22,7 @@
 #include <type_traits>
 
 #include "comm/cluster.hpp"
+#include "graph/priority.hpp"
 #include "mesh/generators.hpp"
 #include "metrics/export.hpp"
 #include "metrics/metrics.hpp"
@@ -35,6 +36,7 @@
 #include "sn/fission.hpp"
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
+#include "support/check.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "sweep/autotune.hpp"
@@ -63,9 +65,9 @@ struct Options {
   int workers = 2;
   int grain = 64;
   int patch_cells = 0;  // 0 = default per mesh type
-  std::string priority = "SLBD";
+  graph::PriorityStrategy priority = graph::PriorityStrategy::SLBD;
   bool coarsened = false;
-  std::string cycle_policy = "error";  // assume | error | lag
+  sweep::CyclePolicy cycle_policy = sweep::CyclePolicy::Error;
   int lag_sweeps = 1;
   double tolerance = 1e-6;
   int max_iterations = 200;
@@ -154,9 +156,9 @@ bool parse_int_flag(const char* flag, const std::string& text, int& out) {
   return true;
 }
 
-/// Strict choice flag parsing: the value must be one of `allowed`, so a
-/// typo refuses with a usage hint instead of silently running a default or
-/// failing only once the solve has started.
+/// Strict choice flag parsing for the CLI's own names (--engine): the value
+/// must be one of `allowed`, so a typo refuses with a usage hint instead of
+/// silently running a default.
 bool parse_choice_flag(const char* flag, const std::string& text,
                        std::initializer_list<const char*> allowed,
                        std::string& out) {
@@ -171,6 +173,22 @@ bool parse_choice_flag(const char* flag, const std::string& text,
   std::fprintf(stderr, "%s must be %s, got '%s' (try --help)\n", flag,
                names.c_str(), text.c_str());
   return false;
+}
+
+/// Strict enum flag parsing through the library's own name conversion
+/// (`from_string` throws CheckError on an unknown name), so a typo refuses
+/// with a usage hint instead of failing only once the solve has started.
+template <class Enum, class FromString>
+bool parse_enum_flag(const char* flag, const std::string& text,
+                     FromString from_string, Enum& out) {
+  try {
+    out = from_string(text);
+    return true;
+  } catch (const CheckError&) {
+    std::fprintf(stderr, "unknown %s value '%s' (try --help)\n", flag,
+                 text.c_str());
+    return false;
+  }
 }
 
 /// Strict floating-point flag parsing, same contract as parse_int_flag().
@@ -208,11 +226,10 @@ std::optional<Options> parse(int argc, char** argv) {
       if (v) ok = ok && parse_double_flag(name, *v, out);
       return v.has_value();
     };
-    const auto choice_flag = [&](const char* name,
-                                 std::initializer_list<const char*> allowed,
-                                 std::string& out) {
+    const auto enum_flag = [&](const char* name, auto from_string,
+                               auto& out) {
       const auto v = value(name);
-      if (v) ok = ok && parse_choice_flag(name, *v, allowed, out);
+      if (v) ok = ok && parse_enum_flag(name, *v, from_string, out);
       return v.has_value();
     };
     if (arg == "--help") {
@@ -229,18 +246,19 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg == "--k-eigenvalue") {
       opt.k_eigenvalue = true;
     } else if (double_flag("--albedo", opt.albedo)) {
-    } else if (choice_flag("--engine", {"jsweep", "bsp", "serial"},
-                           opt.engine)) {
+    } else if (auto v = value("--engine")) {
+      ok = parse_choice_flag("--engine", *v, {"jsweep", "bsp", "serial"},
+                             opt.engine);
     } else if (int_flag("--ranks", opt.ranks)) {
     } else if (int_flag("--workers", opt.workers)) {
     } else if (int_flag("--grain", opt.grain)) {
     } else if (int_flag("--patch-cells", opt.patch_cells)) {
-    } else if (choice_flag("--priority", {"None", "BFS", "LDCP", "SLBD"},
-                           opt.priority)) {
+    } else if (enum_flag("--priority", graph::priority_from_string,
+                         opt.priority)) {
     } else if (arg == "--coarsened") {
       opt.coarsened = true;
-    } else if (choice_flag("--cycle-policy", {"assume", "error", "lag"},
-                           opt.cycle_policy)) {
+    } else if (enum_flag("--cycle-policy", sweep::cycle_policy_from_string,
+                         opt.cycle_policy)) {
     } else if (int_flag("--lag-sweeps", opt.lag_sweeps)) {
     } else if (double_flag("--tolerance", opt.tolerance)) {
     } else if (int_flag("--max-iterations", opt.max_iterations)) {
@@ -312,9 +330,9 @@ std::optional<Options> parse(int argc, char** argv) {
 sweep::PlanConfig make_plan_config(const Options& opt) {
   sweep::PlanConfig pc;
   pc.cluster_grain = opt.grain;
-  pc.patch_priority = graph::priority_from_string(opt.priority);
-  pc.vertex_priority = pc.patch_priority;
-  pc.cycle_policy = sweep::cycle_policy_from_string(opt.cycle_policy);
+  pc.patch_priority = opt.priority;
+  pc.vertex_priority = opt.priority;
+  pc.cycle_policy = opt.cycle_policy;
   pc.group_pipelining = !opt.group_barrier;
   pc.group_set_width = opt.group_set;
   return pc;
@@ -664,7 +682,7 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
       }
     }
     if constexpr (std::is_same_v<Disc, sn::TetStep>) {
-      if (opt.cycle_policy == "lag") {
+      if (opt.cycle_policy == sweep::CyclePolicy::Lag) {
         // Cycle-aware stateful reference: cuts feedback edges and lags
         // their fluxes exactly like the parallel solver.
         sn::SerialSweeper sweeper(disc, quad);
