@@ -114,6 +114,7 @@ void usage() {
   --patch-cells=P                 cells per patch (default: mesh-specific)
   --priority=None|BFS|LDCP|SLBD   patch+vertex strategy (default SLBD)
   --coarsened                     replay iterations 2+ on the coarsened graph
+                                  (--engine=jsweep only)
   --cycle-policy=assume|error|lag cyclic-dependence handling (default error:
                                   detect and refuse; lag: cut feedback edges
                                   and iterate their fluxes)
@@ -312,6 +313,11 @@ std::optional<Options> parse(int argc, char** argv) {
                  "--auto-tune is not supported with --k-eigenvalue\n");
     return std::nullopt;
   }
+  if (opt.coarsened && opt.engine != "jsweep") {
+    std::fprintf(stderr, "--coarsened replays on the data-driven engine; "
+                         "use --engine=jsweep (try --help)\n");
+    return std::nullopt;
+  }
   if (opt.auto_tune && opt.engine != "jsweep") {
     std::fprintf(stderr, "--auto-tune calibrates the data-driven engine; "
                          "use --engine=jsweep\n");
@@ -346,8 +352,7 @@ sweep::SolveConfig make_solve_config(const Options& opt,
   sc.engine = opt.engine == "bsp" ? sweep::EngineKind::Bsp
                                   : sweep::EngineKind::DataDriven;
   sc.num_workers = opt.workers;
-  sc.use_coarsened_graph =
-      opt.coarsened && sc.engine == sweep::EngineKind::DataDriven;
+  sc.use_coarsened_graph = opt.coarsened;
   sc.max_lag_sweeps = std::max(1, opt.lag_sweeps);
   sc.scheduler_seed = static_cast<std::uint64_t>(opt.sched_seed);
   sc.trace.recorder = recorder;

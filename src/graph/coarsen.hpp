@@ -3,9 +3,9 @@
 /// \file coarsen.hpp
 /// Coarsened graph (Sec. V-E): cache the vertex-clustering decisions of a
 /// first data-driven sweep and replay later iterations on the much smaller
-/// cluster-level task graph. The coarse graph is a property graph
-/// CG = (CV, CE, P(CV), P(CE)): P(cv) is the ordered list of fine vertices
-/// a cluster executes, P(ce) the fine edges a coarse edge aggregates.
+/// cluster-level task graph. The coarse graph CG = (CV, CE, P(CV)) carries
+/// per cluster P(cv), the fine vertices it executes, in an order that
+/// respects every intra-cluster edge.
 ///
 /// Theorem 1 of the paper: if the fine graph is acyclic and clusters are
 /// formed by a valid execution (cluster indices never decrease along fine
@@ -19,17 +19,13 @@
 
 namespace jsweep::graph {
 
-/// The property graph CG = (CV, CE, P(CV), P(CE)) produced by coarsen().
+/// The property graph CG = (CV, CE, P(CV)) produced by coarsen().
 struct CoarsenedGraph {
   std::int32_t num_clusters = 0;  ///< |CV|
   Digraph coarse;  ///< cluster-level DAG (deduplicated edges)
-  /// P(CV): fine vertices per cluster, in execution order.
+  /// P(CV): fine vertices per cluster, in execution order — a topological
+  /// order of the cluster's internal edges, ties broken by lowest id.
   std::vector<std::vector<std::int32_t>> members;
-  /// CE as (source, target) cluster pairs, in `coarse`'s edge order.
-  std::vector<std::pair<std::int32_t, std::int32_t>> coarse_edges;
-  /// P(CE): fine (u, v) edges aggregated by each coarse edge, indexed the
-  /// same way as `coarse_edges`.
-  std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> edge_members;
 };
 
 /// Build the coarsened graph from a cluster assignment. `cluster_of[v]`

@@ -43,6 +43,11 @@ SweepSession::SweepSession(comm::Context& ctx,
   JSWEEP_CHECK_MSG(host_ == nullptr || !config_.use_coarsened_graph,
                    "coarsened replay is unavailable in service-attached "
                    "mode");
+  JSWEEP_CHECK_MSG(config_.engine == EngineKind::DataDriven ||
+                       !config_.use_coarsened_graph,
+                   "SolveConfig::use_coarsened_graph replays on the "
+                   "data-driven engine; it cannot be combined with "
+                   "SolveConfig::engine = EngineKind::Bsp");
 
   WallTimer timer;
   const PlanConfig& pc = plan_->config();
@@ -106,23 +111,17 @@ SweepSession::SweepSession(comm::Context& ctx,
 
 SweepSession::~SweepSession() = default;
 
-core::EngineConfig SweepSession::engine_config() const {
-  core::EngineConfig ec;
-  ec.num_workers = config_.num_workers;
-  ec.termination = core::TerminationMode::KnownWorkload;
-  ec.recorder = config_.trace.recorder;
-  ec.metrics = config_.metrics.registry;
-  ec.scheduler_seed = config_.scheduler_seed;
-  return ec;
-}
-
 void SweepSession::install_programs(bool record_clusters) {
-  programs_.clear();
-  keys_.clear();
   core::Engine* target = host_;
   if (host_ == nullptr) {
     if (config_.engine == EngineKind::DataDriven) {
-      engine_ = std::make_unique<core::Engine>(ctx_, engine_config());
+      core::EngineConfig ec;
+      ec.num_workers = config_.num_workers;
+      ec.termination = core::TerminationMode::KnownWorkload;
+      ec.recorder = config_.trace.recorder;
+      ec.metrics = config_.metrics.registry;
+      ec.scheduler_seed = config_.scheduler_seed;
+      engine_ = std::make_unique<core::Engine>(ctx_, ec);
       target = engine_.get();
       shared_.stream_buffers = &engine_->buffer_pool();
     } else {
@@ -137,7 +136,6 @@ void SweepSession::install_programs(bool record_clusters) {
     shared_.stream_buffers = &host_->buffer_pool();
   }
 
-  if (pipeline_ != nullptr) pipeline_->clear_programs();
   const int lane_offset = lane_ * plan_->tags_per_request();
   for (const PlanProgram& slot : plan_->programs()) {
     const SweepTaskData& data = plan_->task_data(slot.data_index);
@@ -175,38 +173,9 @@ void SweepSession::install_programs(bool record_clusters) {
 }
 
 void SweepSession::activate_coarsened() {
+  // Same programs, same engine, same φ arrays: nothing to re-register.
   WallTimer timer;
-  coarse_data_.clear();
-  coarse_programs_.clear();
-  const auto& slots = plan_->programs();
-  for (std::size_t i = 0; i < programs_.size(); ++i) {
-    // Each program (not each task data: the (angle, group) programs sharing
-    // one record their own executions) yields one coarsened replay.
-    coarse_data_.push_back(std::make_unique<CoarsenedSweepData>(
-        plan_->task_data(slots[i].data_index),
-        programs_[i]->recorded_clusters(),
-        std::max<std::int32_t>(1, programs_[i]->recorded_num_clusters())));
-  }
-
-  // Fresh engine holding the coarsened programs; priorities carry over.
-  auto coarse_engine = std::make_unique<core::Engine>(ctx_, engine_config());
-  if (pipeline_ != nullptr) pipeline_->clear_programs();
-  for (std::size_t i = 0; i < coarse_data_.size(); ++i) {
-    auto prog = std::make_unique<CoarsenedSweepProgram>(
-        *coarse_data_[i], shared_, slots[i].angle, slots[i].group);
-    coarse_programs_.push_back(prog.get());
-    if (pipeline_ != nullptr)
-      pipeline_->register_program(coarse_data_[i]->fine().patch(),
-                                  slots[i].angle, slots[i].group,
-                                  &prog->phi_local());
-    coarse_engine->add_program(std::move(prog), slots[i].priority,
-                               /*initially_active=*/slots[i].group ==
-                                   GroupId{0});
-  }
-  coarse_engine->set_routes(plan_->patch_owner());
-  engine_ = std::move(coarse_engine);
-  shared_.stream_buffers = &engine_->buffer_pool();
-  programs_.clear();  // fine programs are gone with the old engine
+  for (auto* prog : programs_) prog->replay_recorded_clusters();
   coarsened_active_ = true;
   stats_.coarsen_seconds += timer.seconds();
 }
@@ -214,18 +183,11 @@ void SweepSession::activate_coarsened() {
 void SweepSession::collect_phi(std::vector<double>& phi_global) const {
   // Fixed program order + rank-ordered allreduce → bitwise deterministic
   // results regardless of worker count or scheduling.
-  const auto accumulate = [&](const auto& progs) {
-    for (const auto* prog : progs) {
-      const auto& cells = plan_->patches().cells(prog->key().patch);
-      const auto& phi = prog->phi_local();
-      for (std::size_t v = 0; v < phi.size(); ++v)
-        phi_global[static_cast<std::size_t>(cells[v].value())] += phi[v];
-    }
-  };
-  if (coarsened_active_) {
-    accumulate(coarse_programs_);
-  } else {
-    accumulate(programs_);
+  for (const auto* prog : programs_) {
+    const auto& cells = plan_->patches().cells(prog->key().patch);
+    const auto& phi = prog->phi_local();
+    for (std::size_t v = 0; v < phi.size(); ++v)
+      phi_global[static_cast<std::size_t>(cells[v].value())] += phi[v];
   }
 }
 
@@ -284,8 +246,7 @@ std::vector<double> SweepSession::sweep(
   ctx_.allreduce_sum(phi);
 
   // After the first recorded sweep, switch to the coarsened graph.
-  if (config_.use_coarsened_graph && !coarsened_active_ && engine_)
-    activate_coarsened();
+  if (config_.use_coarsened_graph && !coarsened_active_) activate_coarsened();
 
   ++stats_.sweeps;
   stats_.last_sweep_seconds = timer.seconds();
@@ -431,8 +392,7 @@ void SweepSession::multigroup_pass(
     }
   }
   // After the first recorded pass, replay on the coarsened graph.
-  if (config_.use_coarsened_graph && !coarsened_active_ && engine_)
-    activate_coarsened();
+  if (config_.use_coarsened_graph && !coarsened_active_) activate_coarsened();
   ++stats_.multigroup_passes;
   stats_.sweeps += G;
   stats_.last_sweep_seconds = timer.seconds();

@@ -31,7 +31,6 @@
 #include "core/engine.hpp"
 #include "sn/multigroup.hpp"
 #include "sn/source_iteration.hpp"
-#include "sweep/coarsened_program.hpp"
 #include "sweep/group_pipeline.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/sweep_program.hpp"
@@ -49,8 +48,8 @@ enum class EngineKind {
 };
 
 /// Runtime-tracing knob: when `recorder` is non-null every engine run of
-/// the session (fine and coarsened) records events into it, ready for
-/// trace::write_chrome_trace / trace::analyze. Null (default) = off.
+/// the session, coarsened replays included, records events into it, ready
+/// for trace::write_chrome_trace / trace::analyze. Null (default) = off.
 struct TraceConfig {
   trace::Recorder* recorder = nullptr;  ///< null disables tracing
 };
@@ -69,7 +68,9 @@ struct MetricsConfig {
 struct SolveConfig {
   EngineKind engine = EngineKind::DataDriven;  ///< runtime selection
   int num_workers = 2;  ///< worker threads per rank (standalone mode)
-  /// Replay sweeps 2..n on the coarsened graph (standalone mode only).
+  /// Replay sweeps 2..n on the coarsened graph: the programs record the
+  /// clusters of sweep 1, then replay them in place. Needs
+  /// EngineKind::DataDriven and a standalone session; anything else throws.
   bool use_coarsened_graph = false;
   /// With CyclePolicy::Lag and a cyclic mesh, run up to this many engine
   /// sweeps per sweep() call, re-feeding the lagged faces each time, until
@@ -206,10 +207,9 @@ class SweepSession {
   SweepSession(comm::Context& ctx, std::shared_ptr<const SweepPlan> plan,
                SolveConfig config, core::Engine* host, int lane);
 
-  /// The data-driven engine config of a standalone session (fine or
-  /// coarsened).
-  [[nodiscard]] core::EngineConfig engine_config() const;
   void install_programs(bool record_clusters);
+  /// Switch every program to replaying its recorded clusters, in place on
+  /// the session's engine.
   void activate_coarsened();
   void collect_phi(std::vector<double>& phi_global) const;
   /// Exactly one engine (or BSP) run; updates the engine stats.
@@ -246,8 +246,6 @@ class SweepSession {
   std::unique_ptr<core::BspEngine> bsp_;
   std::vector<SweepPatchProgram*> programs_;  ///< engine-owned, fixed order
   std::vector<ProgramKey> keys_;              ///< parallel to programs_
-  std::vector<std::unique_ptr<CoarsenedSweepData>> coarse_data_;
-  std::vector<CoarsenedSweepProgram*> coarse_programs_;
   bool coarsened_active_ = false;
 
   // Live instruments, created once at construction when

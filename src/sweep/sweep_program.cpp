@@ -1,10 +1,19 @@
 #include "sweep/sweep_program.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 #include "sweep/group_pipeline.hpp"
 
 namespace jsweep::sweep {
 
+namespace {
+
+/// At init, seed every lagged read face with the previous sweep's iterate
+/// so cut dependencies never wait. `group` is the base energy group and
+/// `width` the group-set width: lane l seeds workspace index
+/// `ws_slot * width + l` from group `group + l`'s store stride (width 1 is
+/// the classic scalar layout, bit-for-bit).
 void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
                        GroupId group, sn::FaceFluxWorkspace& flux,
                        int width) {
@@ -20,6 +29,10 @@ void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
                      store->prev_by_slot(s.store_slot, group.value() + l));
 }
 
+/// After computing vertex v, stage each lagged face it wrote for the next
+/// sweep and restore the old iterate, so any later reader sees the value
+/// the cut promised regardless of execution order. Same (group, width)
+/// striding as seed_lagged_faces().
 void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
                          GroupId group, std::int32_t v,
                          sn::FaceFluxWorkspace& flux, int width) {
@@ -34,40 +47,8 @@ void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
   });
 }
 
-void WorkspaceLease::reset_for_run(const SweepShared& shared) {
-  // The privately owned fallback workspace must never enter the pool.
-  if (flux_ != nullptr && flux_ != &owned_ && shared.flux_pool != nullptr)
-    shared.flux_pool->release(flux_);  // stale borrow from an aborted run
-  flux_ = nullptr;
-}
-
-sn::FaceFluxWorkspace& WorkspaceLease::ensure(const SweepShared& shared,
-                                              const SweepTaskData& data,
-                                              GroupId group, int width) {
-  if (flux_ != nullptr) return *flux_;
-  // Borrow a workspace sized for this task's face-slot count (times the
-  // set width — the lanes of one face sit adjacent); reset is an O(1)
-  // epoch bump, so reuse across sweeps and programs costs nothing.
-  const std::int64_t slots = data.num_flux_slots() * width;
-  if (shared.flux_pool != nullptr) {
-    flux_ = shared.flux_pool->acquire(slots);
-  } else {
-    owned_.prepare(slots);
-    flux_ = &owned_;
-  }
-  // Cycle-cut faces read the previous sweep's flux instead of waiting.
-  seed_lagged_faces(data, shared.lagged, group, *flux_, width);
-  return *flux_;
-}
-
-void WorkspaceLease::release_if(bool done, const SweepShared& shared) {
-  if (!done || shared.flux_pool == nullptr || flux_ == nullptr ||
-      flux_ == &owned_)
-    return;
-  shared.flux_pool->release(flux_);
-  flux_ = nullptr;
-}
-
+/// Init-time sizing of the per-destination out-item buffers to their
+/// static per-sweep maximum (allocation-free batching afterwards).
 void prepare_out_buffers(const SweepTaskData& data,
                          std::vector<std::vector<StreamItem>>& out_items,
                          std::vector<core::Stream>& pending) {
@@ -81,6 +62,9 @@ void prepare_out_buffers(const SweepTaskData& data,
   pending.reserve(static_cast<std::size_t>(data.num_destinations()));
 }
 
+/// Batch-end flush: encode each destination's buffered items into one
+/// pooled-payload stream (ascending patch id — the deterministic emission
+/// order) and queue it on `pending`.
 void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
                        const ProgramKey& src,
                        std::vector<std::vector<StreamItem>>& out_items,
@@ -100,6 +84,11 @@ void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
   }
 }
 
+/// Group-set counterparts of prepare_out_buffers()/flush_out_streams():
+/// each remote face delivery becomes one SetStreamRecord plus `width` lane
+/// values (lanes flat in `out_lanes[d]`, record i owning
+/// `[i*width, (i+1)*width)`), encoded with the set codec so the receiver
+/// decrements its dependency counter once per record.
 void prepare_set_out_buffers(
     const SweepTaskData& data, int width,
     std::vector<std::vector<SetStreamRecord>>& out_records,
@@ -144,6 +133,42 @@ void flush_set_out_streams(
   }
 }
 
+}  // namespace
+
+void WorkspaceLease::reset_for_run(const SweepShared& shared) {
+  // The privately owned fallback workspace must never enter the pool.
+  if (flux_ != nullptr && flux_ != &owned_ && shared.flux_pool != nullptr)
+    shared.flux_pool->release(flux_);  // stale borrow from an aborted run
+  flux_ = nullptr;
+}
+
+sn::FaceFluxWorkspace& WorkspaceLease::ensure(const SweepShared& shared,
+                                              const SweepTaskData& data,
+                                              GroupId group, int width) {
+  if (flux_ != nullptr) return *flux_;
+  // Borrow a workspace sized for this task's face-slot count (times the
+  // set width — the lanes of one face sit adjacent); reset is an O(1)
+  // epoch bump, so reuse across sweeps and programs costs nothing.
+  const std::int64_t slots = data.num_flux_slots() * width;
+  if (shared.flux_pool != nullptr) {
+    flux_ = shared.flux_pool->acquire(slots);
+  } else {
+    owned_.prepare(slots);
+    flux_ = &owned_;
+  }
+  // Cycle-cut faces read the previous sweep's flux instead of waiting.
+  seed_lagged_faces(data, shared.lagged, group, *flux_, width);
+  return *flux_;
+}
+
+void WorkspaceLease::release_if(bool done, const SweepShared& shared) {
+  if (!done || shared.flux_pool == nullptr || flux_ == nullptr ||
+      flux_ == &owned_)
+    return;
+  shared.flux_pool->release(flux_);
+  flux_ = nullptr;
+}
+
 SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
                                      const SweepShared& shared,
                                      SweepProgramOptions options)
@@ -174,11 +199,12 @@ SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
 }
 
 void SweepPatchProgram::init() {
-  counts_ = data_.initial_counts();
-  ready_.reset(data_.num_vertices());
-  for (std::int32_t v = 0; v < data_.num_vertices(); ++v)
-    if (counts_[static_cast<std::size_t>(v)] == 0)
-      ready_.push(data_.vertex_rank(v));
+  counts_ =
+      replay_ != nullptr ? replay_->initial_counts : data_.initial_counts();
+  const auto units = static_cast<std::int32_t>(counts_.size());
+  ready_.reset(units);
+  for (std::int32_t u = 0; u < units; ++u)
+    if (counts_[static_cast<std::size_t>(u)] == 0) ready_.push(rank_of(u));
   // The workspace itself is borrowed lazily (WorkspaceLease::ensure) on
   // the first input or compute that touches flux.
   lease_.reset_for_run(shared_);
@@ -191,13 +217,30 @@ void SweepPatchProgram::init() {
                   static_cast<std::size_t>(set_width_),
               0.0);
   computed_ = 0;
-  if (options_.record_clusters) {
+  // Replay maps each vertex to its cluster through the recording, so a
+  // replaying program keeps it.
+  if (options_.record_clusters && replay_ == nullptr) {
     cluster_of_.assign(static_cast<std::size_t>(data_.num_vertices()), -1);
     next_cluster_ = 0;
   }
   gate_open_ =
       shared_.pipeline == nullptr || options_.group == GroupId{0};
   completion_reported_ = false;
+}
+
+void SweepPatchProgram::replay_recorded_clusters() {
+  JSWEEP_CHECK_MSG(options_.record_clusters,
+                   "replaying " << key()
+                                << " needs a recorded run "
+                                   "(SweepProgramOptions::record_clusters)");
+  auto replay = std::make_unique<Replay>();
+  replay->graph = graph::coarsen(data_.graph().local, cluster_of_,
+                                 std::max<std::int32_t>(1, next_cluster_));
+  replay->initial_counts = replay->graph.coarse.in_degrees();
+  for (const auto& e : data_.graph().remote_in)
+    ++replay->initial_counts[static_cast<std::size_t>(
+        cluster_of_[static_cast<std::size_t>(e.v)])];
+  replay_ = std::move(replay);
 }
 
 void SweepPatchProgram::input(const core::Stream& s) {
@@ -220,9 +263,13 @@ void SweepPatchProgram::input(const core::Stream& s) {
     return shared_.patches->local_index(cell);
   };
   const auto deliver = [&](std::int32_t v) {
-    auto& count = counts_[static_cast<std::size_t>(v)];
-    JSWEEP_CHECK_MSG(count > 0, "dependency underflow at vertex " << v);
-    if (--count == 0) ready_.push(data_.vertex_rank(v));
+    const std::int32_t u = unit_of(v);
+    auto& count = counts_[static_cast<std::size_t>(u)];
+    JSWEEP_CHECK_MSG(count > 0, "dependency underflow at "
+                                    << (replay_ != nullptr ? "cluster "
+                                                           : "vertex ")
+                                    << u);
+    if (--count == 0) ready_.push(rank_of(u));
   };
   if (set_width_ > 1) {
     // One record carries the whole set's lane fluxes for a face — one
@@ -245,6 +292,47 @@ void SweepPatchProgram::input(const core::Stream& s) {
   }
 }
 
+// Inlined into both compute() loops: the fine loop pays no call per vertex.
+[[gnu::always_inline]] inline void SweepPatchProgram::sweep_vertex(
+    std::int32_t v, const VertexKernel& k) {
+  const CellId cell = k.cells[static_cast<std::size_t>(v)];
+  if (set_width_ > 1) {
+    const sn::FaceFluxSetView view{&k.flux, &data_.cell_slots(v), set_width_};
+    double psi[sn::kMaxGroupSetWidth];
+    k.disc.sweep_cell_set(cell, k.ang, set_width_, k.q.data(),
+                          k.sigma_t_lanes, view, psi);
+    for (int l = 0; l < set_width_; ++l)
+      phi_[static_cast<std::size_t>(v) * static_cast<std::size_t>(set_width_) +
+           static_cast<std::size_t>(l)] = k.ang.weight * psi[l];
+    // Remote edges buffer one record + the set's lanes per destination.
+    data_.for_out_remote(v, [&](const RemoteOut& e) {
+      out_records_[static_cast<std::size_t>(e.dst)].push_back(
+          SetStreamRecord{e.dst_cell, e.face});
+      auto& lanes = out_lanes_[static_cast<std::size_t>(e.dst)];
+      for (int l = 0; l < set_width_; ++l) {
+        const std::int32_t ws = e.slot * set_width_ + l;
+        JSWEEP_ASSERT(k.flux.has(ws));
+        lanes.push_back(k.flux.read(ws));
+      }
+    });
+  } else {
+    const sn::FaceFluxView view{&k.flux, &data_.cell_slots(v)};
+    const double psi = k.disc.sweep_cell(cell, k.ang, k.q, view);
+    phi_[static_cast<std::size_t>(v)] = k.ang.weight * psi;
+    data_.for_out_remote(v, [&](const RemoteOut& e) {
+      JSWEEP_ASSERT(k.flux.has(e.slot));
+      out_items_[static_cast<std::size_t>(e.dst)].push_back(
+          StreamItem{e.dst_cell, e.face, k.flux.read(e.slot)});
+    });
+  }
+  ++computed_;
+  // Lagged (cycle-cut) faces: stage the fresh value for the next sweep,
+  // then restore the old iterate so any later reader — regardless of
+  // scheduling order — sees the same value the cut promised it.
+  stage_lagged_writes(data_, shared_.lagged, lag_group(), v, k.flux,
+                      set_width_);
+}
+
 void SweepPatchProgram::compute() {
   // Gated (group > 0) programs buffer inputs but compute nothing until the
   // pipeline injects this group on this patch.
@@ -255,85 +343,56 @@ void SweepPatchProgram::compute() {
   if (options_.patch_serializer != nullptr)
     serialize_lock = std::unique_lock<std::mutex>(*options_.patch_serializer);
 
-  const sn::Ordinate& ang = shared_.quad->angle(options_.angle.value());
-  // Group-aware solves resolve kernel and source per set; single-group
-  // solves use the solver-installed pair directly.
-  const sn::Discretization* disc = shared_.disc;
-  const std::vector<double>* q_ptr = shared_.q_per_ster;
-  const double* sigma_t_lanes = nullptr;
-  if (shared_.pipeline != nullptr) {
-    // The base group's kernel carries the geometry; the batched kernel
-    // takes the set's strided σ_t explicitly.
-    disc = shared_.pipeline->group_disc(GroupId{group_base_});
-    q_ptr = &shared_.pipeline->q_set(options_.group);
-    sigma_t_lanes = shared_.pipeline->sigma_t_set(options_.group).data();
-  }
-  const std::vector<double>& q = *q_ptr;
-  const auto& cells = shared_.patches->cells(data_.patch());
-
-  // The workspace is borrowed once per cluster, and only when a vertex is
-  // ready to touch it.
-  sn::FaceFluxWorkspace* const ws =
-      ready_.empty() ? nullptr
-                     : &lease_.ensure(shared_, data_, lag_group(), set_width_);
-  int in_batch = 0;
-  while (!ready_.empty() && in_batch < options_.cluster_grain) {
-    sn::FaceFluxWorkspace& flux = *ws;
-    const std::int32_t v = data_.vertex_at_rank(ready_.pop());
-    ++in_batch;
-
-    const CellId cell = cells[static_cast<std::size_t>(v)];
-    if (set_width_ > 1) {
-      const sn::FaceFluxSetView view{&flux, &data_.cell_slots(v),
-                                     set_width_};
-      double psi[sn::kMaxGroupSetWidth];
-      disc->sweep_cell_set(cell, ang, set_width_, q.data(), sigma_t_lanes,
-                           view, psi);
-      for (int l = 0; l < set_width_; ++l)
-        phi_[static_cast<std::size_t>(v) *
-                 static_cast<std::size_t>(set_width_) +
-             static_cast<std::size_t>(l)] = ang.weight * psi[l];
-    } else {
-      const sn::FaceFluxView view{&flux, &data_.cell_slots(v)};
-      const double psi = disc->sweep_cell(cell, ang, q, view);
-      phi_[static_cast<std::size_t>(v)] = ang.weight * psi;
+  if (!ready_.empty()) {
+    // Group-aware solves resolve kernel and source per set; single-group
+    // solves use the solver-installed pair directly. The base group's
+    // kernel carries the geometry; the batched kernel takes the set's
+    // strided σ_t explicitly.
+    const sn::Discretization* disc = shared_.disc;
+    const std::vector<double>* q = shared_.q_per_ster;
+    const double* sigma_t_lanes = nullptr;
+    if (shared_.pipeline != nullptr) {
+      disc = shared_.pipeline->group_disc(GroupId{group_base_});
+      q = &shared_.pipeline->q_set(options_.group);
+      sigma_t_lanes = shared_.pipeline->sigma_t_set(options_.group).data();
     }
-    ++computed_;
-    if (options_.record_clusters)
-      cluster_of_[static_cast<std::size_t>(v)] = next_cluster_;
-
-    // Downwind updates: local vertices may become ready (possibly within
-    // this same batch — Listing 1's inner enqueue); remote edges buffer
-    // stream items for their destination patch.
-    data_.for_out_local(v, [&](const OutLocal& e) {
-      if (--counts_[static_cast<std::size_t>(e.w)] == 0)
-        ready_.push(data_.vertex_rank(e.w));
-    });
-    if (set_width_ > 1) {
-      data_.for_out_remote(v, [&](const RemoteOut& e) {
-        out_records_[static_cast<std::size_t>(e.dst)].push_back(
-            SetStreamRecord{e.dst_cell, e.face});
-        auto& lanes = out_lanes_[static_cast<std::size_t>(e.dst)];
-        for (int l = 0; l < set_width_; ++l) {
-          const std::int32_t ws = e.slot * set_width_ + l;
-          JSWEEP_ASSERT(flux.has(ws));
-          lanes.push_back(flux.read(ws));
-        }
+    // The workspace is borrowed once per cluster, and only when a vertex
+    // is ready to touch it.
+    const VertexKernel k{shared_.quad->angle(options_.angle.value()),
+                         *disc,
+                         *q,
+                         sigma_t_lanes,
+                         shared_.patches->cells(data_.patch()),
+                         lease_.ensure(shared_, data_, lag_group(),
+                                       set_width_)};
+    if (replay_ != nullptr) {
+      // Coarsened-graph replay: one recorded cluster, then its coarse
+      // successors' counts.
+      const std::int32_t c = ready_.pop();
+      for (const std::int32_t v :
+           replay_->graph.members[static_cast<std::size_t>(c)])
+        sweep_vertex(v, k);
+      replay_->graph.coarse.for_out(c, [&](std::int32_t succ) {
+        if (--counts_[static_cast<std::size_t>(succ)] == 0) ready_.push(succ);
       });
     } else {
-      data_.for_out_remote(v, [&](const RemoteOut& e) {
-        JSWEEP_ASSERT(flux.has(e.slot));
-        out_items_[static_cast<std::size_t>(e.dst)].push_back(
-            StreamItem{e.dst_cell, e.face, flux.read(e.slot)});
-      });
+      int in_batch = 0;
+      while (!ready_.empty() && in_batch < options_.cluster_grain) {
+        const std::int32_t v = data_.vertex_at_rank(ready_.pop());
+        ++in_batch;
+        sweep_vertex(v, k);
+        if (options_.record_clusters)
+          cluster_of_[static_cast<std::size_t>(v)] = next_cluster_;
+        // Local downwind vertices may become ready, possibly within this
+        // same batch (Listing 1's inner enqueue).
+        data_.for_out_local(v, [&](const OutLocal& e) {
+          if (--counts_[static_cast<std::size_t>(e.w)] == 0)
+            ready_.push(data_.vertex_rank(e.w));
+        });
+      }
+      if (options_.record_clusters) ++next_cluster_;
     }
-    // Lagged (cycle-cut) faces: stage the fresh value for the next sweep,
-    // then restore the old iterate so any later reader — regardless of
-    // scheduling order — sees the same value the cut promised it.
-    stage_lagged_writes(data_, shared_.lagged, lag_group(), v, flux,
-                        set_width_);
   }
-  if (options_.record_clusters && in_batch > 0) ++next_cluster_;
 
   if (set_width_ > 1)
     flush_set_out_streams(data_, shared_, set_width_, key(), out_records_,

@@ -7,8 +7,16 @@
 /// rank-ordered ready set, the dense face-flux workspace and the
 /// per-destination out-stream buffers. compute() retires up to
 /// `cluster_grain` ready vertices per execution (vertex clustering,
-/// Sec. V-C) and can record the resulting clusters to build the coarsened
-/// graph (Sec. V-E).
+/// Sec. V-C) and can record the resulting clusters. After a recorded run,
+/// replay_recorded_clusters() turns the same program into a replay of the
+/// coarsened graph (Sec. V-E): one recorded cluster per compute(), with
+/// dependencies counted per cluster instead of per vertex.
+///
+/// Deadlock-freedom of the replay across patches: clusters are compute()
+/// batches, streams are emitted at batch end and consumed between batches,
+/// so every coarse edge (local or remote) points from a cluster that
+/// finished earlier to one that started later — the global coarse graph is
+/// acyclic (the distributed extension of the paper's Theorem 1).
 ///
 /// Steady-state allocation budget: zero. The face-flux workspace comes
 /// from a shared FaceFluxPool (borrowed at init(), returned when the last
@@ -16,11 +24,13 @@
 /// the per-destination item buffers are reserved to their static maximum —
 /// the kernel grind performs no hash-map operation and no heap allocation.
 
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/buffer_pool.hpp"
 #include "core/patch_program.hpp"
+#include "graph/coarsen.hpp"
 #include "partition/patch_set.hpp"
 #include "sn/discretization.hpp"
 #include "sn/face_flux.hpp"
@@ -61,32 +71,12 @@ struct SweepShared {
   GroupId current_group{0};
 };
 
-// Shared lagged-face (cycle-cut) handling — ONE implementation of the
-// schedule-independence invariant for both the fine and the coarsened
-// program, which must stay bitwise-identical.
-
-/// At init, seed every lagged read face with the previous sweep's iterate
-/// so cut dependencies never wait. `group` is the base energy group and
-/// `width` the group-set width: lane l seeds workspace index
-/// `ws_slot * width + l` from group `group + l`'s store stride (width 1 is
-/// the classic scalar layout, bit-for-bit).
-void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
-                       GroupId group, sn::FaceFluxWorkspace& flux,
-                       int width = 1);
-/// After computing vertex v, stage each lagged face it wrote for the next
-/// sweep and restore the old iterate, so any later reader sees the value
-/// the cut promised regardless of execution order. Same (group, width)
-/// striding contract as seed_lagged_faces().
-void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
-                         GroupId group, std::int32_t v,
-                         sn::FaceFluxWorkspace& flux, int width = 1);
-
-/// One implementation of the workspace borrow/seed/release protocol for
-/// both the fine and the coarsened program. A program borrows its dense
-/// workspace lazily — nothing is held until the first flux arrives or the
-/// first vertex computes — and returns it the moment its last vertex
-/// retires, so the pool's live set tracks the sweep frontier. Without a
-/// shared pool the lease falls back to a privately owned workspace.
+/// The workspace borrow/seed/release protocol of a sweep program. A
+/// program borrows its dense workspace lazily — nothing is held until the
+/// first flux arrives or the first vertex computes — and returns it the
+/// moment its last vertex retires, so the pool's live set tracks the sweep
+/// frontier. Without a shared pool the lease falls back to a privately
+/// owned workspace.
 class WorkspaceLease {
  public:
   /// Init-time: drop any stale borrow left by an aborted previous run.
@@ -99,43 +89,11 @@ class WorkspaceLease {
                                 int width = 1);
   /// Return the workspace once the program has retired all its work.
   void release_if(bool done, const SweepShared& shared);
-  /// Currently leased workspace (null when none is borrowed).
-  [[nodiscard]] sn::FaceFluxWorkspace* get() const { return flux_; }
 
  private:
   sn::FaceFluxWorkspace* flux_ = nullptr;
   sn::FaceFluxWorkspace owned_;
 };
-
-/// Init-time sizing of the per-destination out-item buffers to their
-/// static per-sweep maximum (allocation-free batching afterwards).
-void prepare_out_buffers(const SweepTaskData& data,
-                         std::vector<std::vector<StreamItem>>& out_items,
-                         std::vector<core::Stream>& pending);
-/// Batch-end flush: encode each destination's buffered items into one
-/// pooled-payload stream (ascending patch id — the deterministic emission
-/// order) and queue it on `pending`.
-void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
-                       const ProgramKey& src,
-                       std::vector<std::vector<StreamItem>>& out_items,
-                       std::vector<core::Stream>& pending);
-
-/// Group-set counterparts of prepare_out_buffers()/flush_out_streams():
-/// each remote face delivery becomes one SetStreamRecord plus `width` lane
-/// values (lanes flat in `out_lanes[d]`, record i owning
-/// `[i*width, (i+1)*width)`), encoded with the set codec so the receiver
-/// decrements its dependency counter once per record.
-void prepare_set_out_buffers(
-    const SweepTaskData& data, int width,
-    std::vector<std::vector<SetStreamRecord>>& out_records,
-    std::vector<std::vector<double>>& out_lanes,
-    std::vector<core::Stream>& pending);
-void flush_set_out_streams(
-    const SweepTaskData& data, const SweepShared& shared, int width,
-    const ProgramKey& src,
-    std::vector<std::vector<SetStreamRecord>>& out_records,
-    std::vector<std::vector<double>>& out_lanes,
-    std::vector<core::Stream>& pending);
 
 /// Per-program knobs (fixed at construction).
 struct SweepProgramOptions {
@@ -145,7 +103,8 @@ struct SweepProgramOptions {
   AngleId angle;
   /// Max vertices retired per compute() execution (the paper's N).
   int cluster_grain = 64;
-  /// Record compute() batches as clusters for coarsened-graph replay.
+  /// Record compute() batches as clusters, for
+  /// SweepPatchProgram::replay_recorded_clusters().
   bool record_clusters = false;
   /// When non-null, compute() holds this mutex — serializes all angles of
   /// one patch, the "patch is the unit of parallelism" ablation.
@@ -175,7 +134,8 @@ class SweepPatchProgram final : public core::PatchProgram {
   void init() override;
   /// Consume one face-flux stream (or a group-activation marker).
   void input(const core::Stream& s) override;
-  /// Retire up to cluster_grain ready vertices; buffer boundary outputs.
+  /// Retire up to cluster_grain ready vertices (one recorded cluster when
+  /// replaying); buffer boundary outputs.
   void compute() override;
   /// Drain one pending outgoing stream (null when empty).
   std::optional<core::Stream> output() override;
@@ -206,6 +166,13 @@ class SweepPatchProgram final : public core::PatchProgram {
     return next_cluster_;
   }
 
+  /// Switch to replaying the recorded clusters on the coarsened graph
+  /// (record_clusters must be set and a complete run recorded). From the
+  /// next run on, each compute() sweeps one ready cluster's members in
+  /// execution order and dependencies are counted per cluster; the fluxes
+  /// stay bitwise those of the fine loop.
+  void replay_recorded_clusters();
+
   /// The immutable task data this program sweeps.
   [[nodiscard]] const SweepTaskData& data() const { return data_; }
 
@@ -217,6 +184,30 @@ class SweepPatchProgram final : public core::PatchProgram {
     return shared_.pipeline != nullptr ? GroupId{group_base_}
                                        : shared_.current_group;
   }
+  /// Dependency-counting unit of vertex v: v itself, or its recorded
+  /// cluster when replaying.
+  [[nodiscard]] std::int32_t unit_of(std::int32_t v) const {
+    return replay_ != nullptr ? cluster_of_[static_cast<std::size_t>(v)] : v;
+  }
+  /// ReadySet rank of counting unit u: the vertex's static rank, or the
+  /// cluster id itself (recording order is a topological order of the
+  /// coarse graph).
+  [[nodiscard]] std::int32_t rank_of(std::int32_t u) const {
+    return replay_ != nullptr ? u : data_.vertex_rank(u);
+  }
+
+  /// What one compute() resolves once for every vertex it sweeps.
+  struct VertexKernel {
+    const sn::Ordinate& ang;           ///< this program's ordinate
+    const sn::Discretization& disc;    ///< kernel (set base group's)
+    const std::vector<double>& q;      ///< per-cell (set: lane) source
+    const double* sigma_t_lanes;       ///< set σ_t; null at width 1
+    const std::vector<CellId>& cells;  ///< patch cells by local vertex
+    sn::FaceFluxWorkspace& flux;       ///< the leased workspace
+  };
+  /// Sweep vertex v — kernel, φ, remote-out buffering and lagged staging:
+  /// the per-vertex body of both the fine and the replay loop.
+  inline void sweep_vertex(std::int32_t v, const VertexKernel& k);
 
   const SweepTaskData& data_;
   const SweepShared& shared_;
@@ -229,8 +220,8 @@ class SweepPatchProgram final : public core::PatchProgram {
   int group_base_ = 0;
 
   // --- Local context (Listing 1, part 1), reset by init() ---------------
-  std::vector<std::int32_t> counts_;
-  ReadySet ready_;  ///< by vertex rank (SweepTaskData::vertex_rank)
+  std::vector<std::int32_t> counts_;  ///< per counting unit (unit_of())
+  ReadySet ready_;                    ///< by counting-unit rank (rank_of())
   WorkspaceLease lease_;
   std::vector<std::vector<StreamItem>> out_items_;  ///< by destination slot
   /// Group-set out buffers (set_width_ > 1): one record + set_width_
@@ -246,6 +237,16 @@ class SweepPatchProgram final : public core::PatchProgram {
   /// (always true for group 0 or single-group solves).
   bool gate_open_ = true;
   bool completion_reported_ = false;
+
+  /// What a replay needs beyond the recording (replay_recorded_clusters()).
+  struct Replay {
+    graph::CoarsenedGraph graph;  ///< coarse graph of the recorded clusters
+    /// Per-cluster initial counts: coarse in-degree + remote-in edges.
+    std::vector<std::int32_t> initial_counts;
+  };
+  /// Null until replay_recorded_clusters(): fine programs carry no replay
+  /// state.
+  std::unique_ptr<const Replay> replay_;
 };
 
 }  // namespace jsweep::sweep

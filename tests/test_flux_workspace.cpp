@@ -258,7 +258,7 @@ TEST(FaceFluxPool, RecyclesWorkspacesUnderRealEngine) {
 }
 
 /// Same under the coarsened-graph replay path (workspace reuse across the
-/// engine swap) and the BSP engine.
+/// switch from the fine loop to the replay) and the BSP engine.
 TEST(FaceFluxPool, RecyclesUnderCoarsenedAndBspEngines) {
   const mesh::StructuredMesh m({8, 8, 8}, {1, 1, 1});
   sn::CellXs xs;

@@ -403,6 +403,14 @@ TEST(PlanValidation, RejectsMalformedInputsUpFront) {
                                                 tc.disc, tc.quad);
       request.plan = plan;  // ... but still no cross sections
       EXPECT_THROW(service.enqueue(request), CheckError);
+
+      // Replay runs on the data-driven engine only; a BSP session must
+      // refuse it rather than sweep every iteration fine without a word.
+      sweep::SolveConfig sc;
+      sc.engine = sweep::EngineKind::Bsp;
+      sc.use_coarsened_graph = true;
+      EXPECT_THROW(sweep::SweepSession(ctx, plan, sc), CheckError)
+          << "use_coarsened_graph with EngineKind::Bsp must be rejected";
     }
   });
 }

@@ -1,6 +1,6 @@
 // Integration tests for the parallel sweep component: the data-driven
-// engine, the BSP baseline, the coarsened graph and KBA must all reproduce
-// the serial reference exactly, under every configuration.
+// engine, the BSP baseline and the coarsened replay must all reproduce the
+// serial reference exactly, under every configuration.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "support/rng.hpp"
-#include "sweep/kba.hpp"
 #include "sweep/session.hpp"
 #include "sweep/sweep_data.hpp"
 
@@ -414,12 +413,28 @@ INSTANTIATE_TEST_SUITE_P(Grains, SweepGrain,
                          ::testing::Values(1, 2, 8, 64, 4096));
 
 TEST(SweepAblation, PatchSerializedStillCorrect) {
+  // The patch mutex must hold for the fine loop and the replay alike:
+  // coarsened sessions replay sweeps 2 and 3 under it.
   const StructuredCase cs;
-  PlanConfig pc;
-  pc.patch_angle_parallelism = false;
-  SolveConfig sc;
-  sc.num_workers = 3;
-  expect_equal(run_parallel(cs, 2, pc, sc), cs.serial());
+  const auto serial = cs.serial();
+  for (const bool coarsened : {false, true}) {
+    comm::Cluster::run(2, [&](comm::Context& ctx) {
+      PlanConfig pc;
+      pc.patch_angle_parallelism = false;
+      SolveConfig sc;
+      sc.num_workers = 3;
+      sc.use_coarsened_graph = coarsened;
+      const auto owner =
+          partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
+      SweepSession session(ctx,
+                           SweepPlan::build(ctx, cs.mesh, cs.patches, owner,
+                                            cs.disc, cs.quad, pc),
+                           sc);
+      for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(session.sweep(cs.q), serial)
+            << (coarsened ? "coarsened" : "fine") << ", sweep " << k;
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -515,30 +530,6 @@ TEST(SweepCoarsened, StructuredMatchesSerial) {
   });
   expect_equal(coarse_phi, cs.serial());
 }
-
-// ---------------------------------------------------------------------------
-// KBA baseline
-// ---------------------------------------------------------------------------
-
-class SweepKba : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(SweepKba, MatchesSerial) {
-  const auto [px, py, zb] = GetParam();
-  const StructuredCase cs;
-  std::vector<double> kba_phi;
-  comm::Cluster::run(px * py, [&](comm::Context& ctx) {
-    KbaSolver kba(ctx, cs.disc, cs.quad, {px, py, zb});
-    const auto phi = kba.sweep(cs.q);
-    if (ctx.rank().value() == 0) kba_phi = phi;
-  });
-  expect_equal(kba_phi, cs.serial());
-}
-
-INSTANTIATE_TEST_SUITE_P(Grids, SweepKba,
-                         ::testing::Values(std::tuple{1, 1, 4},
-                                           std::tuple{2, 2, 2},
-                                           std::tuple{4, 2, 8},
-                                           std::tuple{2, 3, 1}));
 
 // ---------------------------------------------------------------------------
 // Full solves: source iteration through the parallel sweep
